@@ -2,6 +2,7 @@ package specdb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,10 +133,8 @@ func TestConcurrentSessionsStressWithFaults(t *testing.T) {
 		if s == nil || i%4 == 3 {
 			continue
 		}
-		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, terminal, st)
+		if err := s.Stats().CheckQuiesced(); err != nil {
+			t.Errorf("session %d: %v", i, err)
 		}
 	}
 	if n := db.eng.Pool.Misuses(); n != 0 {
@@ -179,7 +178,7 @@ func TestBreakerSuspendsAndResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 		val++
-		if s.pending != nil {
+		if len(s.sp.Outstanding()) > 0 {
 			sabotage()
 		}
 		if err := s.Think(2 * time.Minute); err != nil {
@@ -221,5 +220,90 @@ func TestBreakerSuspendsAndResumes(t *testing.T) {
 	}
 	if got := db.eng.Metrics().Counter("breaker.closed").Value(); got <= closedBefore {
 		t.Fatalf("breaker.closed counter did not advance (%d -> %d)", closedBefore, got)
+	}
+}
+
+// TestSpecCountersMatchSessionStats checks the one-ledger invariant: every
+// spec.<name> counter in the engine's registry equals the sum of its Stats
+// field over the engine's sessions, with shared speculation, the governor,
+// the predictor, extra workers and injected faults all active at once.
+func TestSpecCountersMatchSessionStats(t *testing.T) {
+	db := Open(Options{
+		BufferPoolPages:   64,
+		SpecWorkers:       2,
+		SharedSpeculation: true,
+		PredictFinals:     true,
+		Governor:          GovernorConfig{Enabled: true},
+		Fault:             stressFaultConfig(17),
+	})
+	inj := db.eng.FaultInjector()
+	inj.SetArmed(false)
+	if err := db.LoadTPCH("100MB", 42); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetArmed(true)
+
+	m := db.NewSessionManager()
+	var all []*Session
+	// Two rounds of four interleaved sessions over overlapping queries: the
+	// first trains the predictor, the second speculates predicted finals;
+	// within a round the sessions share builds.
+	for round := 0; round < 3; round++ {
+		sessions := make([]*Session, 4)
+		for i := range sessions {
+			sessions[i] = m.Open(SessionConfig{})
+		}
+		all = append(all, sessions...)
+		steps := []func(i int, s *Session) error{
+			func(i int, s *Session) error { return s.AddSelection("lineitem", "l_quantity", "=", 1+i%2) },
+			func(i int, s *Session) error { return s.Think(30 * time.Second) },
+			func(i int, s *Session) error { return s.AddJoin("orders", "o_orderkey", "lineitem", "l_orderkey") },
+			func(i int, s *Session) error { return s.Think(30 * time.Second) },
+			func(i int, s *Session) error { _, err := s.Go(); return err },
+			func(i int, s *Session) error { return s.AddSelection("orders", "o_totalprice", "<", 20000) },
+			func(i int, s *Session) error { return s.Think(60 * time.Second) },
+			func(i int, s *Session) error { _, err := s.Go(); return err },
+			func(i int, s *Session) error { return s.RemoveSelection("lineitem", "l_quantity", "=", 1+i%2) },
+			func(i int, s *Session) error { return s.Think(60 * time.Second) },
+			func(i int, s *Session) error { _, err := s.Go(); return err },
+		}
+		for k, step := range steps {
+			for i, s := range sessions {
+				if err := step(i, s); err != nil {
+					t.Fatalf("round %d step %d session %d: %v", round, k, i, err)
+				}
+			}
+		}
+	}
+	if err := m.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	var sum Stats
+	for i, s := range all {
+		st := s.Stats()
+		if err := st.CheckQuiesced(); err != nil {
+			t.Errorf("session %d: %v", i, err)
+		}
+		sum.Add(st)
+	}
+	if sum.Issued == 0 || sum.PredictedIssued == 0 || sum.SharedAttached+sum.SharedBuilds == 0 {
+		t.Fatalf("workload did not exercise speculation, prediction and sharing: %+v", sum)
+	}
+	want := sum.Counters()
+	counters := db.eng.MetricsSnapshot().Counters
+	for name, v := range want {
+		if got, ok := counters["spec."+name]; !ok || got != v {
+			t.Errorf("spec.%s = %d (registered %v), sessions sum to %d", name, got, ok, v)
+		}
+	}
+	for name := range counters {
+		field, ok := strings.CutPrefix(name, "spec.")
+		if !ok || strings.HasPrefix(field, "cse.") {
+			continue
+		}
+		if _, ok := want[field]; !ok {
+			t.Errorf("counter %s mirrors no Stats field", name)
+		}
 	}
 }

@@ -76,6 +76,44 @@ func newSpec(e *engine.Engine, cfg Config) *Speculator {
 	return NewSpeculator(e, NewLearner(DefaultLearnerConfig()), cfg)
 }
 
+// checkTerminal asserts job's terminal transition since the before snapshot:
+// exactly one terminal counter moved, by one — o's; the job's run time was
+// charged to waste once, or never for a completed job; and its span carries
+// o's outcome annotation.
+func checkTerminal(t *testing.T, sp *Speculator, before Stats, job *Job, o outcome) {
+	t.Helper()
+	after := sp.Stats()
+	for other, e := range outcomes {
+		want := int64(0)
+		if outcome(other) == o {
+			want = 1
+		}
+		if d := after.get(e.stat) - before.get(e.stat); d != want {
+			t.Errorf("%s: terminal counter %s moved by %d, want %d", outcomes[o].span, statTable[e.stat].name, d, want)
+		}
+	}
+	wantCharges := 1
+	if o == outcomeCompleted {
+		wantCharges = 0
+	}
+	if n := sp.WasteCharges()[wasteBuildID(job)]; n != wantCharges {
+		t.Errorf("%s: job charged to waste %d times, want %d", outcomes[o].span, n, wantCharges)
+	}
+	for _, span := range sp.eng.Tracer().Spans() {
+		attrs := map[string]string{}
+		for _, a := range span.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if span.Start == job.IssuedAt && attrs["key"] == job.Manip.Key() {
+			if attrs["outcome"] != outcomes[o].span {
+				t.Errorf("span outcome %q, want %q", attrs["outcome"], outcomes[o].span)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no span for %s", outcomes[o].span, job.Manip.Key())
+}
+
 func TestSpeculatorIssuesAndCompletes(t *testing.T) {
 	e := newTestEngine(t, 20000)
 	sp := newSpec(e, DefaultConfig())
@@ -105,10 +143,12 @@ func TestSpeculatorIssuesAndCompletes(t *testing.T) {
 		t.Fatal("view visible before completion")
 	}
 
+	before := sp.Stats()
 	next, err := sp.Complete(job, job.CompletesAt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTerminal(t, sp, before, job, outcomeCompleted)
 	if v := e.Catalog.View(job.tableName); v == nil || !v.Forced {
 		t.Fatal("view not registered as forced on completion")
 	}
@@ -159,6 +199,7 @@ func TestSpeculatorCancelsOnInvalidation(t *testing.T) {
 	table := job.tableName
 
 	// Removing the predicate invalidates the running materialization.
+	before := sp.Stats()
 	out2, err := sp.OnEvent(evRemoveSel(selRC(18)), sim.FromSeconds(1))
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +207,7 @@ func TestSpeculatorCancelsOnInvalidation(t *testing.T) {
 	if one(out2.Canceled) != job {
 		t.Fatal("job not canceled on invalidation")
 	}
+	checkTerminal(t, sp, before, job, outcomeInvalidated)
 	if e.Catalog.HasTable(table) {
 		t.Fatal("canceled materialization left its table behind")
 	}
@@ -188,6 +230,7 @@ func TestSpeculatorCancelsAtGo(t *testing.T) {
 	}
 	// GO arrives before CompletesAt: the manipulation is canceled and the
 	// final query runs WITHOUT the materialization.
+	before := sp.Stats()
 	res, goOut, err := sp.OnGo(sim.FromSeconds(0.5))
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +238,7 @@ func TestSpeculatorCancelsAtGo(t *testing.T) {
 	if one(goOut.Canceled) != job {
 		t.Fatal("in-flight job not canceled at GO")
 	}
+	checkTerminal(t, sp, before, job, outcomeAtGo)
 	if strings.Contains(plan.Explain(res.Plan), job.tableName) {
 		t.Fatal("final query used an incomplete materialization")
 	}
@@ -331,11 +375,27 @@ func TestSpeculatorShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := one(out.Issued).tableName
+	// A second job is still in flight at shutdown: it is canceled on close.
+	out2, err := sp.OnEvent(evAddSel(qgraph.Selection{
+		Rel: "W", Col: "d", Op: tuple.CmpLT, Const: tuple.NewInt(100),
+	}), one(out.Issued).CompletesAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := one(out2.Issued)
+	if inflight == nil {
+		t.Fatal("no second job issued")
+	}
+	before := sp.Stats()
 	if err := sp.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Catalog.HasTable(table) {
+	checkTerminal(t, sp, before, inflight, outcomeOnClose)
+	if e.Catalog.HasTable(table) || e.Catalog.HasTable(inflight.tableName) {
 		t.Fatal("shutdown leaked speculative table")
+	}
+	if err := sp.Stats().CheckQuiesced(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -616,6 +676,7 @@ func TestWaitForCompletionAtGo(t *testing.T) {
 	// GO arrives just before completion: the job is worth more than the
 	// remaining wait, so the speculator waits and uses it.
 	goAt := job.CompletesAt - sim.Time(sim.DurationFromSeconds(0.01))
+	before := sp.Stats()
 	res, goOut, err := sp.OnGo(goAt)
 	if err != nil {
 		t.Fatal(err)
@@ -623,6 +684,7 @@ func TestWaitForCompletionAtGo(t *testing.T) {
 	if one(goOut.Canceled) != job {
 		t.Fatal("harness must be told to unschedule the original completion")
 	}
+	checkTerminal(t, sp, before, job, outcomeCompleted)
 	if sp.Stats().WaitedAtGo != 1 || sp.Stats().CanceledAtGo != 0 {
 		t.Fatalf("stats %+v", sp.Stats())
 	}
@@ -892,4 +954,89 @@ func TestClearResetsFormulationTracking(t *testing.T) {
 		t.Fatalf("formulation duration logged as %v s, want 30 s",
 			math.Exp(l.thinkLogMean))
 	}
+}
+
+// TestSpeculatorAbortShedDeadline drives the three terminal outcomes no
+// interface event chooses: a completion that fails to publish (aborted), a
+// build the governor sheds under pressure, and one its watchdog kills past
+// the deadline.
+func TestSpeculatorAbortShedDeadline(t *testing.T) {
+	keepUseful := trace.Event{Kind: trace.EvAddRelation, Rel: "S"}
+	t.Run("aborted", func(t *testing.T) {
+		e := newTestEngine(t, 20000)
+		sp := newSpec(e, DefaultConfig())
+		out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := one(out.Issued)
+		// Drop the hidden table out from under the job: completion cannot
+		// register its view, and the rollback cannot drop the table again.
+		if err := e.DropTable(job.tableName); err != nil {
+			t.Fatal(err)
+		}
+		before := sp.Stats()
+		if _, err := sp.Complete(job, job.CompletesAt); err != nil {
+			t.Fatalf("contained completion failure surfaced: %v", err)
+		}
+		checkTerminal(t, sp, before, job, outcomeAborted)
+		if st := sp.Stats(); st.Failed != 1 || st.UndoFailures != 1 {
+			t.Fatalf("stats %+v, want one failure and one undo failure", st)
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		e := newTestEngine(t, 20000)
+		cfg := DefaultConfig()
+		cfg.Governor = NewGovernor(GovernorConfig{DeadlineFactor: 0.01}, e.Pool)
+		sp := newSpec(e, cfg)
+		out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := one(out.Issued)
+		if job == nil || job.Deadline == 0 || job.Deadline >= job.CompletesAt {
+			t.Fatalf("job %+v: want a deadline before completion", job)
+		}
+		before := sp.Stats()
+		out2, err := sp.OnEvent(keepUseful, job.Deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one(out2.Canceled) != job {
+			t.Fatal("job past its deadline not aborted")
+		}
+		checkTerminal(t, sp, before, job, outcomeDeadline)
+	})
+	t.Run("shed", func(t *testing.T) {
+		e := newTestEngine(t, 20000)
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		gov := NewGovernor(GovernorConfig{}, e.Pool)
+		cfg.Governor = gov
+		sp := newSpec(e, cfg)
+		if _, err := sp.OnEvent(evAddSel(selRC(18)), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.OnEvent(evAddSel(qgraph.Selection{
+			Rel: "W", Col: "d", Op: tuple.CmpLT, Const: tuple.NewInt(100),
+		}), sim.FromSeconds(0.1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(sp.outstanding) != 2 {
+			t.Fatalf("%d jobs outstanding, want 2", len(sp.outstanding))
+		}
+		// Force the pressured band: the governor sheds every build but the
+		// session's last.
+		gov.cfg.PressuredEnter, gov.cfg.PressuredExit = 5, 6
+		before := sp.Stats()
+		out, err := sp.OnEvent(keepUseful, sim.FromSeconds(0.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := one(out.Canceled)
+		if len(out.Canceled) != 1 || len(sp.outstanding) != 1 {
+			t.Fatalf("shed %d jobs, %d left; want 1 and 1", len(out.Canceled), len(sp.outstanding))
+		}
+		checkTerminal(t, sp, before, job, outcomeShed)
+	})
 }

@@ -225,14 +225,14 @@ func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 	}
 
 	s := NewScheduler(2, pool)
-	if s.AdmitExtra(0) {
+	if s.AdmitExtra("", 0) {
 		t.Fatal("unscored job admitted under pool pressure")
 	}
-	if s.AdmitExtra(-3) {
+	if s.AdmitExtra("", -3) {
 		t.Fatal("negative estimate admitted under pool pressure")
 	}
 	// A genuinely tiny scored job still fits.
-	if !s.AdmitExtra(MinEstPages) {
+	if !s.AdmitExtra("", MinEstPages) {
 		t.Fatal("minimal scored job deferred with headroom available")
 	}
 }
@@ -247,17 +247,17 @@ func TestSchedulerSharedFootprintAdmission(t *testing.T) {
 	s.AttachCSE(sb)
 
 	huge := e.Pool.Capacity() * 2
-	if s.AdmitExtraKeyed("mat|G", huge) {
+	if s.AdmitExtra("mat|G", huge) {
 		t.Fatal("oversized unshared job admitted")
 	}
 	sb.TryClaim("G", huge)
-	if !s.AdmitExtraKeyed("mat|G", huge) {
+	if !s.AdmitExtra("mat|G", huge) {
 		t.Fatal("registered shared build charged per-copy footprint")
 	}
 	// Worker-slot exhaustion still defers regardless of sharing.
 	s.Acquire()
 	s.Acquire()
-	if s.AdmitExtraKeyed("mat|G", 0) {
+	if s.AdmitExtra("mat|G", 0) {
 		t.Fatal("admitted past the worker cap")
 	}
 }
@@ -372,9 +372,8 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 						t.Errorf("build %s charged to waste %d times", id, n)
 					}
 				}
-				st := sp.Stats()
-				if terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted; st.Issued != terminal {
-					t.Errorf("quiesce identity violated: issued %d, terminal %d (%+v)", st.Issued, terminal, st)
+				if err := sp.Stats().CheckQuiesced(); err != nil {
+					t.Error(err)
 				}
 			})
 		}

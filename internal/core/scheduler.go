@@ -105,19 +105,13 @@ func (s *Scheduler) Inflight() int {
 // a worker slot must be free and the footprint must fit in the pool's
 // current headroom minus the foreground reserve. A missing estimate
 // (estPages <= 0) is floored to floorPages — the cost model never prices
-// real work at zero, so an unscored footprint must not auto-admit. It does
-// not claim the slot — the speculator calls Acquire from issue() once the
-// job really starts.
-func (s *Scheduler) AdmitExtra(estPages int) bool {
-	return s.AdmitExtraKeyed("", estPages)
-}
-
-// AdmitExtraKeyed is AdmitExtra with the manipulation's key: when a
-// shared-build registry is attached and the key's subplan is already
-// registered (ready or in flight), the job adds no new pages — the build
-// exists once globally — so admission charges it zero footprint instead of
-// the per-copy estimate.
-func (s *Scheduler) AdmitExtraKeyed(key string, estPages int) bool {
+// real work at zero, so an unscored footprint must not auto-admit. When a
+// shared-build registry is attached and the manipulation key's subplan is
+// already registered (ready or in flight), the job adds no new pages — the
+// build exists once globally — so admission charges it zero footprint
+// instead of the per-copy estimate. It does not claim the slot — the
+// speculator calls Acquire once the job really starts.
+func (s *Scheduler) AdmitExtra(key string, estPages int) bool {
 	if s == nil {
 		return true
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -132,111 +133,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts the Speculator's activity across a session.
-type Stats struct {
-	Issued    int
-	Completed int
-	// CanceledInvalidated were canceled because the partial query changed;
-	// CanceledAtGo were still running when the final query arrived.
-	CanceledInvalidated int
-	CanceledAtGo        int
-	// WaitedAtGo counts final queries delayed until an almost-finished
-	// manipulation completed (the WaitForCompletion extension).
-	WaitedAtGo int
-	// Suspended counts issue opportunities skipped because the server was
-	// busy (the SuspendWhenBusy extension).
-	Suspended int
-	// Deferred counts extra-job candidates (beyond the first outstanding
-	// manipulation) the scheduler declined for lack of a worker slot or
-	// buffer-pool headroom. Always 0 with Workers <= 1.
-	Deferred int
-	// MaterializationsIssued counts issued materializations and
-	// MaterializationTime is the cumulative sum of their durations; the
-	// harness divides the sum by the count to report the per-dataset-size
-	// average materialization duration of the paper.
-	MaterializationsIssued int
-	MaterializationTime    sim.Duration
-	// GarbageCollected counts completed materializations dropped because
-	// the partial query stopped containing them.
-	GarbageCollected int
-	// CanceledOnClose counts jobs canceled by CancelOutstanding or Shutdown
-	// (session teardown) rather than by an interface event. At quiesce
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo + CanceledOnClose.
-	CanceledOnClose int
-	// Failure containment (DESIGN.md §8). Failed counts contained
-	// manipulation failures (issue- or completion-time); Aborted counts
-	// issued jobs rolled back after a failed completion — a terminal state,
-	// so at quiesce Issued == Completed + CanceledInvalidated + CanceledAtGo
-	// + CanceledOnClose + Aborted. Abandoned counts manipulation keys given
-	// up after MaxManipAttempts failures. BreakerTrips/BreakerResumes count
-	// this session's circuit breaker opening and closing again.
-	Failed         int
-	Aborted        int
-	Abandoned      int
-	BreakerTrips   int
-	BreakerResumes int
-	// Cross-session CSE (DESIGN.md §11). SharedBuilds counts materializations
-	// this speculator built into the shared registry; SharedAttached counts
-	// ready shared builds adopted instead of rebuilt; DedupSaved is the build
-	// time those adoptions avoided. BudgetDeferred counts candidates skipped
-	// because the per-session page budget (Config.BudgetPages) was exhausted.
-	// All zero with Config.CSE == nil and Config.BudgetPages == 0.
-	SharedBuilds   int
-	SharedAttached int
-	DedupSaved     sim.Duration
-	BudgetDeferred int
-	// Overload governance (DESIGN.md §13). Shed counts outstanding builds
-	// the governor canceled under pool pressure, lowest benefit first;
-	// DeadlineAborts counts builds the stuck-job watchdog aborted past
-	// k× their cost estimate (the DeadlineExceeded terminal). Both are
-	// terminal states, so the quiesce identity under a governor is
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo +
-	// CanceledOnClose + Aborted + Shed + DeadlineAborts.
-	// ShedRetained counts COMPLETED materializations dropped under pressure
-	// before any query consumed them; those builds already counted as
-	// Completed, so ShedRetained is deliberately outside the identity.
-	// GovernorDeferred counts issue opportunities the governor refused by
-	// pressure band. All zero with Config.Governor == nil.
-	Shed             int
-	ShedRetained     int
-	DeadlineAborts   int
-	GovernorDeferred int
-	// Whole-query prediction (DESIGN.md §14). PredictedIssued counts
-	// predicted-final jobs issued; PredictedCompleted the ones whose answers
-	// reached the cache; PredictedCanceled every predicted job taken off the
-	// plate before completing (invalidated, canceled at GO or close, shed, or
-	// deadline-aborted). Those are the only predicted terminals, so the
-	// extended quiesce identity is
-	// PredictedIssued == PredictedCompleted + PredictedCanceled — a refinement
-	// of the overall identity, which predicted jobs also flow through.
-	// PredictedGos counts GO events answered instantly from a completed
-	// prediction (after the result-equivalence check); InstantSaved is the
-	// reference execution time those instant answers avoided.
-	// PredictEquivFailures counts completed predictions whose rows did NOT
-	// match the reference plan's (the fresh answer is served instead).
-	// AnswerCacheHits counts predicted jobs satisfied from the answer cache
-	// at issue time instead of executing. All zero with Config.Predictor nil.
-	PredictedIssued      int
-	PredictedCompleted   int
-	PredictedCanceled    int
-	PredictedGos         int
-	InstantSaved         sim.Duration
-	PredictEquivFailures int
-	AnswerCacheHits      int
-	// Hits counts final queries whose plan used at least one completed
-	// speculative materialization; Misses counts the rest. Hits+Misses is
-	// the number of GO events answered.
-	Hits   int
-	Misses int
-	// Waste is simulated manipulation time that never served a query: the
-	// elapsed run time of canceled jobs plus the full cost of completed
-	// materializations that were garbage-collected unused.
-	Waste sim.Duration
-}
-
 // Job is one asynchronous manipulation in flight. The engine executed it
-// eagerly (side effects hidden); the harness schedules Complete at
-// CompletesAt, or Cancel beforehand.
+// eagerly (side effects hidden); CompleteDue finalizes it once the owner's
+// clock reaches CompletesAt, unless an event terminates it beforehand.
 type Job struct {
 	Manip       Manipulation
 	IssuedAt    sim.Time
@@ -280,11 +179,10 @@ type Job struct {
 type EventOutcome struct {
 	// Canceled are the jobs this event took off the speculator's plate —
 	// invalidated, canceled at GO, or completed-early by the
-	// wait-for-completion rule; the owner must drop their scheduled
-	// completions. With Workers <= 1 it holds at most one job.
+	// wait-for-completion rule. With Workers <= 1 it holds at most one job.
 	Canceled []*Job
-	// Issued are the newly issued jobs; the owner must schedule each one's
-	// completion at its CompletesAt. With Workers <= 1 it holds at most one.
+	// Issued are the newly issued jobs. With Workers <= 1 it holds at most
+	// one.
 	Issued []*Job
 	// Waited is the real delay before the final query ran because OnGo let
 	// an almost-finished manipulation complete (WaitForCompletion). The
@@ -317,7 +215,7 @@ type Speculator struct {
 	prevFinal   *qgraph.Graph
 
 	// outstanding holds the in-flight jobs in issue order (descending
-	// benefit at issue time); at most workers() entries.
+	// benefit at issue time); at most cfg.Workers entries.
 	outstanding []*Job
 	// completed materializations by graph key → speculative table name.
 	completed map[string]string
@@ -345,8 +243,6 @@ type Speculator struct {
 	// otherwise). Each executed build may be charged at most once — the
 	// invariant TestWasteChargedOncePerBuild enforces.
 	wasteCharges map[string]int
-
-	stats Stats
 
 	// Failure containment state (DESIGN.md §8): per-key consecutive failure
 	// counts, keys abandoned after MaxManipAttempts, the sim-time before
@@ -376,18 +272,10 @@ type Speculator struct {
 	predStates     []string
 	predictedReady map[string]bool
 
-	// Mirror counters in the engine's metrics registry (shared across every
-	// speculator on the engine, so multi-user runs aggregate).
-	obsIssued, obsCompleted, obsHits, obsMisses *obs.Counter
-	obsCanceled, obsGC, obsWasteNs              *obs.Counter
-	obsFailed, obsAborted, obsAbandoned         *obs.Counter
-	obsUndoFailures, obsDeferred                *obs.Counter
-	obsWaitedAtGo, obsSuspended                 *obs.Counter
-	obsBudgetDeferred                           *obs.Counter
-	obsShed, obsDeadlineAborts, obsGovDeferred  *obs.Counter
-	obsPredIssued, obsPredCompleted             *obs.Counter
-	obsPredCanceled, obsPredGos                 *obs.Counter
-	obsPredEquivFail, obsInstantSavedNs         *obs.Counter
+	stats Stats
+	// counters mirrors stats into the engine's metrics registry: one
+	// spec.<name> counter per stat, shared by every speculator on the engine.
+	counters [numStats]*obs.Counter
 }
 
 // NewSpeculator attaches a speculation subsystem to an engine.
@@ -419,7 +307,7 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		// repeated finals.
 		cfg.Answers = NewAnswerCache(eng.Metrics(), 0)
 	}
-	return &Speculator{
+	sp := &Speculator{
 		eng:     eng,
 		sched:   cfg.Scheduler,
 		gov:     cfg.Governor,
@@ -452,50 +340,32 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		pred:           cfg.Predictor,
 		answers:        cfg.Answers,
 		predictedReady: make(map[string]bool),
-
-		obsIssued:    eng.Metrics().Counter("spec.issued"),
-		obsCompleted: eng.Metrics().Counter("spec.completed"),
-		obsHits:      eng.Metrics().Counter("spec.hits"),
-		obsMisses:    eng.Metrics().Counter("spec.misses"),
-		obsCanceled:  eng.Metrics().Counter("spec.canceled"),
-		obsGC:        eng.Metrics().Counter("spec.garbage_collected"),
-		obsWasteNs:   eng.Metrics().Counter("spec.waste_ns"),
-		obsFailed:    eng.Metrics().Counter("spec.failed"),
-		obsAborted:   eng.Metrics().Counter("spec.aborted"),
-		obsAbandoned: eng.Metrics().Counter("spec.abandoned"),
-
-		obsUndoFailures: eng.Metrics().Counter("spec.undo_failures"),
-		obsDeferred:     eng.Metrics().Counter("spec.deferred"),
-
-		obsWaitedAtGo:     eng.Metrics().Counter("spec.waited_at_go"),
-		obsSuspended:      eng.Metrics().Counter("spec.suspended"),
-		obsBudgetDeferred: eng.Metrics().Counter("spec.budget_deferred"),
-
-		obsShed:           eng.Metrics().Counter("spec.shed"),
-		obsDeadlineAborts: eng.Metrics().Counter("spec.deadline_aborts"),
-		obsGovDeferred:    eng.Metrics().Counter("spec.governor_deferred"),
-
-		obsPredIssued:     eng.Metrics().Counter("spec.predicted_issued"),
-		obsPredCompleted:  eng.Metrics().Counter("spec.predicted_completed"),
-		obsPredCanceled:   eng.Metrics().Counter("spec.predicted_canceled"),
-		obsPredGos:        eng.Metrics().Counter("spec.predicted_gos"),
-		obsPredEquivFail:  eng.Metrics().Counter("spec.predict_equiv_failures"),
-		obsInstantSavedNs: eng.Metrics().Counter("spec.instant_saved_ns"),
 	}
+	for k := range sp.counters {
+		sp.counters[k] = eng.Metrics().Counter("spec." + statTable[k].name)
+	}
+	return sp
 }
 
 // Breaker exposes the per-session circuit breaker (for tests/diagnostics).
 func (sp *Speculator) Breaker() *fault.Breaker { return sp.breaker }
 
-// chargeWaste charges d of never-useful manipulation time to Stats.Waste and
-// the spec.waste_ns mirror. buildID identifies the executed build being
-// charged — the speculative table name for materializations, key@issue-instant
-// for the rest — and feeds the per-build ledger behind WasteCharges: a single
-// execution's cost must hit Waste at most once, however it terminates
-// (canceled, aborted, or garbage-collected unused).
+// count adds n to stat k: its Stats field and its engine-wide counter move
+// together, so each spec.<name> counter is the sum of its field over the
+// engine's speculators.
+func (sp *Speculator) count(k stat, n int64) {
+	sp.stats.add(k, n)
+	sp.counters[k].Add(n)
+}
+
+// chargeWaste charges d of never-useful manipulation time to Stats.Waste.
+// buildID identifies the executed build being charged — the speculative table
+// name for materializations, key@issue-instant for the rest — and feeds the
+// per-build ledger behind WasteCharges: a single execution's cost must hit
+// Waste at most once, however it terminates (canceled, aborted, or
+// garbage-collected unused).
 func (sp *Speculator) chargeWaste(buildID string, d sim.Duration) {
-	sp.stats.Waste += d
-	sp.obsWasteNs.Add(int64(d))
+	sp.count(statWaste, int64(d))
 	sp.wasteCharges[buildID]++
 }
 
@@ -526,14 +396,6 @@ func (sp *Speculator) Partial() *qgraph.Graph { return sp.partial }
 // Outstanding exposes the in-flight jobs in issue order. The returned slice
 // must not be mutated.
 func (sp *Speculator) Outstanding() []*Job { return sp.outstanding }
-
-// workers is the outstanding-job cap (at least 1).
-func (sp *Speculator) workers() int {
-	if sp.cfg.Workers < 1 {
-		return 1
-	}
-	return sp.cfg.Workers
-}
 
 // Learner exposes the user profile.
 func (sp *Speculator) Learner() *Learner { return sp.learner }
@@ -566,17 +428,7 @@ func (sp *Speculator) OnEvent(ev trace.Event, now sim.Time) (EventOutcome, error
 	}
 
 	// Convention 1: cancel manipulations whose benefit disappeared.
-	kept := sp.outstanding[:0]
-	for _, job := range sp.outstanding {
-		if !sp.stillUseful(job.Manip) {
-			sp.cancelAt(job, now, "canceled_invalidated")
-			sp.stats.CanceledInvalidated++
-			out.Canceled = append(out.Canceled, job)
-		} else {
-			kept = append(kept, job)
-		}
-	}
-	sp.outstanding = kept
+	out.Canceled = sp.terminateWhere(now, outcomeInvalidated, func(job *Job) bool { return !sp.stillUseful(job.Manip) })
 	// Convention 2: garbage-collect completed results the partial query no
 	// longer indicates useful.
 	if err := sp.collectGarbage(); err != nil {
@@ -594,7 +446,7 @@ func (sp *Speculator) OnEvent(ev trace.Event, now sim.Time) (EventOutcome, error
 		return out, err
 	}
 	out.Canceled = append(out.Canceled, degraded...)
-	// Convention 3: at most workers() outstanding manipulations (one, per
+	// Convention 3: at most cfg.Workers outstanding manipulations (one, per
 	// the paper, unless configured wider). A session the governor just
 	// degraded sits this boundary out — re-issuing the build it was told to
 	// drop would turn shedding into thrash.
@@ -616,72 +468,41 @@ func (sp *Speculator) OnEvent(ev trace.Event, now sim.Time) (EventOutcome, error
 // effects are rolled back, the failure recorded against its key and the
 // breaker), never surfaced to the session.
 func (sp *Speculator) Complete(job *Job, now sim.Time) ([]*Job, error) {
-	if !sp.dropOutstanding(job) {
-		// Programmer invariant (the owner schedules exactly one completion per
-		// issued job), not a containable I/O failure.
+	if !slices.Contains(sp.outstanding, job) {
+		// Programmer invariant (each issued job completes at most once), not
+		// a containable I/O failure.
 		return nil, fmt.Errorf("core: completing a job that is not outstanding")
 	}
-	sp.eng.EndJob(job.jobID)
-	sp.sched.Release()
-	sp.gov.NoteTerminal(sp.govID, job.Manip.Key())
 	if err := sp.finalize(job); err != nil {
-		sp.abort(job, now, err)
-		return sp.fillSlots(now)
-	}
-	if job.Manip.Kind == ManipMaterialize {
-		gk := job.Manip.Graph.Key()
-		sp.completedPages[gk] = job.Manip.EstPages
-		// The materialization stays a sheddable speculative asset: its pages
-		// remain registered (retained tier) until GC or shutdown removes them.
-		sp.gov.NoteRetained(sp.govID, job.Manip.Key(), job.CompletesAt.Sub(job.IssuedAt), job.Manip.EstPages)
-		if job.cseKey != "" {
-			// A shared build: the registry owns its waste accounting (charged
-			// once across all consumers at the last release), so the
-			// per-session completedCost stays empty for it.
-			sp.cse.FinishBuild(job.cseKey, job.CompletesAt.Sub(job.IssuedAt))
-			sp.sharedKeys[gk] = true
-			sp.sharedOwned[gk] = true
-		} else {
-			sp.completedCost[gk] = job.CompletesAt.Sub(job.IssuedAt)
-		}
+		sp.terminate(job, now, outcomeAborted, err)
 	} else {
-		// Indexes, histograms, staged pages, and published predicted answers
-		// become durable improvements at completion (the answer cache accounts
-		// its own footprint); they stop counting against the session's
-		// retained-footprint budget.
-		sp.releaseRetained(job.Manip.EstPages)
-	}
-	if job.Manip.Kind == ManipPredictFinal {
-		sp.stats.PredictedCompleted++
-		sp.obsPredCompleted.Inc()
-	}
-	sp.stats.Completed++
-	sp.obsCompleted.Inc()
-	delete(sp.attempts, job.Manip.Key())
-	if sp.breaker.Success() {
-		sp.stats.BreakerResumes++
-	}
-	sp.gov.NoteSuccess(now)
-	if job.span != nil {
-		job.span.Annotate("outcome", "completed")
-		job.span.End(job.CompletesAt)
-		job.span = nil
+		sp.terminate(job, now, outcomeCompleted, nil)
 	}
 	// Keep preparing: a slot is free and the user is still thinking (or
 	// viewing results — either way the canvas indicates what comes next).
 	return sp.fillSlots(now)
 }
 
-// dropOutstanding removes job from the outstanding list, reporting whether
-// it was there.
-func (sp *Speculator) dropOutstanding(job *Job) bool {
-	for i, j := range sp.outstanding {
-		if j == job {
-			sp.outstanding = append(sp.outstanding[:i], sp.outstanding[i+1:]...)
-			return true
+// CompleteDue completes every outstanding job due by t in completion order
+// (issue order on ties), including follow-ups those completions issue that
+// fall due by t as well. The outstanding list is the whole completion
+// schedule: owners call CompleteDue as their clock advances rather than
+// keeping one of their own.
+func (sp *Speculator) CompleteDue(t sim.Time) error {
+	for {
+		var due *Job
+		for _, job := range sp.outstanding {
+			if job.CompletesAt <= t && (due == nil || job.CompletesAt < due.CompletesAt) {
+				due = job
+			}
+		}
+		if due == nil {
+			return nil
+		}
+		if _, err := sp.Complete(due, due.CompletesAt); err != nil {
+			return err
 		}
 	}
-	return false
 }
 
 // fillSlots issues manipulations in descending benefit order until the
@@ -690,7 +511,7 @@ func (sp *Speculator) dropOutstanding(job *Job) bool {
 // empty slot — the paper's single-manipulation convention.
 func (sp *Speculator) fillSlots(now sim.Time) ([]*Job, error) {
 	var issued []*Job
-	for len(sp.outstanding) < sp.workers() {
+	for len(sp.outstanding) < sp.cfg.Workers {
 		// Predicted finals first (DESIGN.md §14): a confident whole-query
 		// prediction dominates any sub-query manipulation — it answers GO
 		// outright. An immediate nil without a predictor keeps this loop
@@ -714,8 +535,8 @@ func (sp *Speculator) fillSlots(now sim.Time) ([]*Job, error) {
 }
 
 // governDegrade applies the engine governor's overload decisions at one
-// event boundary (DESIGN.md §13) and returns the jobs it took off the plate
-// so the owner can drop their scheduled completions. Two passes: first the
+// event boundary (DESIGN.md §13) and returns the jobs it took off the plate.
+// Two passes: first the
 // stuck-job watchdog aborts builds past their deadline (DeadlineExceeded —
 // a systemic-health strike on the GLOBAL breaker, not the session breaker:
 // an overrunning build is usually a victim of engine-wide pressure, and
@@ -728,37 +549,15 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 	if sp.gov == nil {
 		return nil, nil
 	}
-	var dropped []*Job
-	kept := sp.outstanding[:0]
-	for _, job := range sp.outstanding {
-		if job.Deadline != 0 && now >= job.Deadline {
-			sp.cancelAt(job, now, "deadline_exceeded")
-			sp.stats.DeadlineAborts++
-			sp.obsDeadlineAborts.Inc()
-			sp.gov.NoteFailure(now)
-			dropped = append(dropped, job)
-		} else {
-			kept = append(kept, job)
-		}
-	}
-	sp.outstanding = kept
+	dropped := sp.terminateWhere(now, outcomeDeadline, func(job *Job) bool {
+		return job.Deadline != 0 && now >= job.Deadline
+	})
 	// Push the session's live footprint before asking for shed marks, so the
 	// governor ranks against current state, not last event's.
 	sp.gov.ReportRetained(sp.govID, sp.retainedPages)
 	shed := sp.gov.ShedSet(sp.govID, now)
 	if len(shed) > 0 {
-		kept = sp.outstanding[:0]
-		for _, job := range sp.outstanding {
-			if shed[job.Manip.Key()] {
-				sp.cancelAt(job, now, "shed")
-				sp.stats.Shed++
-				sp.obsShed.Inc()
-				dropped = append(dropped, job)
-			} else {
-				kept = append(kept, job)
-			}
-		}
-		sp.outstanding = kept
+		dropped = append(dropped, sp.terminateWhere(now, outcomeShed, func(job *Job) bool { return shed[job.Manip.Key()] })...)
 		// Retained tier: drop completed materializations the governor marked,
 		// exactly like garbage collection (shared builds release their
 		// refcount and the cost of a never-consumed build is charged once),
@@ -768,27 +567,16 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 			if !shed["mat|"+gk] {
 				continue
 			}
-			table := sp.completed[gk]
+			var err error
 			if sp.sharedKeys[gk] {
-				if err := sp.releaseShared(gk, true); err != nil {
-					return dropped, err
-				}
+				err = sp.releaseShared(gk, true)
 			} else {
-				if err := sp.eng.DropTable(table); err != nil {
-					return dropped, err
-				}
-				delete(sp.completed, gk)
-				sp.releaseRetained(sp.completedPages[gk])
-				delete(sp.completedPages, gk)
-				sp.gov.NoteTerminal(sp.govID, "mat|"+gk)
-				sp.obsGC.Inc()
-				if c, ok := sp.completedCost[gk]; ok {
-					sp.chargeWaste(table, c)
-					delete(sp.completedCost, gk)
-				}
+				err = sp.dropPrivate(gk)
 			}
-			sp.stats.ShedRetained++
-			sp.obsShed.Inc()
+			if err != nil {
+				return dropped, err
+			}
+			sp.count(statShedRetained, 1)
 		}
 		sp.gov.ReportRetained(sp.govID, sp.retainedPages)
 	}
@@ -838,32 +626,12 @@ func (sp *Speculator) finalize(job *Job) error {
 	return nil
 }
 
-// abort contains a completion-time failure: the job's hidden side effects are
-// rolled back exactly as a cancellation's would be (orphaned pages freed,
-// partial catalog entries dropped — the Learner is never touched), its full
-// run time is charged to Waste, and the failure counts against the
-// manipulation's retry budget and the session breaker.
-func (sp *Speculator) abort(job *Job, now sim.Time, cause error) {
-	sp.undo(job)
-	sp.chargeWaste(wasteBuildID(job), job.CompletesAt.Sub(job.IssuedAt))
-	sp.stats.Aborted++
-	sp.obsAborted.Inc()
-	if job.span != nil {
-		job.span.Annotate("outcome", "aborted")
-		job.span.Annotate("error", cause.Error())
-		job.span.End(now)
-		job.span = nil
-	}
-	sp.noteFailure(job.Manip.Key(), now, cause)
-}
-
 // noteFailure records one contained manipulation failure: backoff before the
 // next issue (doubling per consecutive failure of the same key, capped at
 // 8x), abandonment after MaxManipAttempts, and a breaker strike. A span marks
 // the failure on the session timeline.
 func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
-	sp.stats.Failed++
-	sp.obsFailed.Inc()
+	sp.count(statFailed, 1)
 	n := sp.attempts[key] + 1
 	sp.attempts[key] = n
 	backoff := sp.cfg.RetryBackoff
@@ -875,11 +643,10 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 	}
 	if n >= sp.cfg.MaxManipAttempts && !sp.abandoned[key] {
 		sp.abandoned[key] = true
-		sp.stats.Abandoned++
-		sp.obsAbandoned.Inc()
+		sp.count(statAbandoned, 1)
 	}
 	if sp.breaker.Failure(now) {
-		sp.stats.BreakerTrips++
+		sp.count(statBreakerTrips, 1)
 	}
 	// The same outcome feeds the engine-wide breaker, which trips on the
 	// systemic rate across all sessions (nil-safe no-op without a governor).
@@ -900,43 +667,32 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	var out EventOutcome
 	var waited sim.Duration
-	if len(sp.outstanding) > 0 {
-		// Section 7 extension: a manipulation worth more than its remaining
-		// run time is allowed to finish and serve this very query. With
-		// several outstanding the earliest-completing qualifying job wins —
-		// the user waits for at most one.
-		var waitJob *Job
-		if sp.cfg.WaitForCompletion {
-			for _, job := range sp.outstanding {
-				remaining := job.CompletesAt.Sub(now)
-				if remaining > 0 && remaining < job.Manip.SingleBenefit &&
-					(waitJob == nil || job.CompletesAt < waitJob.CompletesAt) {
-					waitJob = job
-				}
+	// Section 7 extension: a manipulation worth more than its remaining run
+	// time is allowed to finish and serve this very query. With several
+	// outstanding the earliest-completing qualifying job wins — the user
+	// waits for at most one.
+	var waitJob *Job
+	if sp.cfg.WaitForCompletion {
+		for _, job := range sp.outstanding {
+			remaining := job.CompletesAt.Sub(now)
+			if remaining > 0 && remaining < job.Manip.SingleBenefit &&
+				(waitJob == nil || job.CompletesAt < waitJob.CompletesAt) {
+				waitJob = job
 			}
 		}
-		for _, job := range append([]*Job(nil), sp.outstanding...) {
-			if job == waitJob {
-				continue
-			}
-			sp.cancelAt(job, now, "canceled_at_go")
-			sp.stats.CanceledAtGo++
-			out.Canceled = append(out.Canceled, job)
-			sp.dropOutstanding(job)
+	}
+	out.Canceled = sp.terminateWhere(now, outcomeAtGo, func(job *Job) bool { return job != waitJob })
+	if waitJob != nil {
+		// Its completion happens here, ahead of its schedule.
+		out.Canceled = append(out.Canceled, waitJob)
+		next, err := sp.Complete(waitJob, waitJob.CompletesAt)
+		if err != nil {
+			return nil, out, err
 		}
-		if waitJob != nil {
-			// The owner must unschedule its completion: it happens here.
-			out.Canceled = append(out.Canceled, waitJob)
-			next, err := sp.Complete(waitJob, waitJob.CompletesAt)
-			if err != nil {
-				return nil, out, err
-			}
-			out.Issued = append(out.Issued, next...)
-			waited = waitJob.CompletesAt.Sub(now)
-			out.Waited = waited
-			sp.stats.WaitedAtGo++
-			sp.obsWaitedAtGo.Inc()
-		}
+		out.Issued = append(out.Issued, next...)
+		waited = waitJob.CompletesAt.Sub(now)
+		out.Waited = waited
+		sp.count(statWaitedAtGo, 1)
 	}
 	if sp.partial.IsEmpty() {
 		return nil, out, fmt.Errorf("core: GO with empty partial query")
@@ -962,16 +718,13 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 		if sp.predictedReady[fk] {
 			if rows, _, _, ok := sp.answers.Get(fk, sp.eng.DataVersion); ok {
 				if RowsEquivalent(res.Rows, rows) {
-					sp.stats.PredictedGos++
-					sp.obsPredGos.Inc()
-					sp.stats.InstantSaved += res.Duration
-					sp.obsInstantSavedNs.Add(int64(res.Duration))
+					sp.count(statPredictedGos, 1)
+					sp.count(statInstantSaved, int64(res.Duration))
 					res.Duration = 0
 				} else {
 					// The cached answer disagrees with the reference plan:
 					// serve the fresh result, count the equivalence failure.
-					sp.stats.PredictEquivFailures++
-					sp.obsPredEquivFail.Inc()
+					sp.count(statPredictEquivFailures, 1)
 				}
 			}
 		}
@@ -1110,21 +863,10 @@ func (sp *Speculator) collectGarbage() error {
 			}
 			continue
 		}
-		if err := sp.eng.DropTable(table); err != nil {
+		if err := sp.dropPrivate(key); err != nil {
 			return err
 		}
-		delete(sp.completed, key)
-		sp.releaseRetained(sp.completedPages[key])
-		delete(sp.completedPages, key)
-		sp.gov.NoteTerminal(sp.govID, "mat|"+key)
-		sp.stats.GarbageCollected++
-		sp.obsGC.Inc()
-		// A build cost still in completedCost means no final query ever read
-		// the view: the whole materialization was wasted work.
-		if c, ok := sp.completedCost[key]; ok {
-			sp.chargeWaste(table, c)
-			delete(sp.completedCost, key)
-		}
+		sp.count(statGarbageCollected, 1)
 	}
 	for _, rel := range sortedKeys(sp.stagedRels) {
 		if !sp.partial.HasRelation(rel) {
@@ -1133,6 +875,25 @@ func (sp *Speculator) collectGarbage() error {
 			}
 			delete(sp.stagedRels, rel)
 		}
+	}
+	return nil
+}
+
+// dropPrivate drops a completed materialization this session alone holds.
+// A build cost still in completedCost means no final query ever read the
+// view: the whole materialization was wasted work.
+func (sp *Speculator) dropPrivate(key string) error {
+	table := sp.completed[key]
+	if err := sp.eng.DropTable(table); err != nil {
+		return err
+	}
+	delete(sp.completed, key)
+	sp.releaseRetained(sp.completedPages[key])
+	delete(sp.completedPages, key)
+	sp.gov.NoteTerminal(sp.govID, "mat|"+key)
+	if c, ok := sp.completedCost[key]; ok {
+		sp.chargeWaste(table, c)
+		delete(sp.completedCost, key)
 	}
 	return nil
 }
@@ -1151,7 +912,7 @@ func (sp *Speculator) releaseShared(key string, chargeIfUnused bool) error {
 	if sp.sharedOwned[key] {
 		delete(sp.sharedOwned, key)
 		if chargeIfUnused {
-			sp.stats.GarbageCollected++
+			sp.count(statGarbageCollected, 1)
 		}
 	}
 	sp.releaseRetained(sp.completedPages[key])
@@ -1162,7 +923,6 @@ func (sp *Speculator) releaseShared(key string, chargeIfUnused bool) error {
 	if err := sp.eng.DropTable(table); err != nil {
 		return err
 	}
-	sp.obsGC.Inc()
 	if charge {
 		sp.chargeWaste(table, cost)
 	}
@@ -1179,8 +939,8 @@ func (sp *Speculator) adoptSharedBuild(key, table string, cost sim.Duration, est
 	sp.completedPages[key] = estPages
 	sp.retainedPages += estPages
 	sp.gov.NoteRetained(sp.govID, "mat|"+key, cost, estPages)
-	sp.stats.SharedAttached++
-	sp.stats.DedupSaved += cost
+	sp.count(statSharedAttached, 1)
+	sp.count(statDedupSaved, int64(cost))
 }
 
 // releaseRetained returns pages to the session's budget headroom.
@@ -1202,23 +962,76 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// gatesOpen applies the session-wide gates every issue opportunity passes:
+// suspension while the server is busy (SuspendWhenBusy), the post-failure
+// backoff (a no-op on the fault-free path, where retryAt stays 0), and the
+// governor's pressure band (nil-safe: the ungoverned path stays
+// decision-identical). count selects whether a refusal is counted; the
+// predicted pass stays silent so the fallback pass that follows it accounts
+// each refused opportunity once.
+func (sp *Speculator) gatesOpen(now sim.Time, count bool) bool {
+	var refusal stat
+	switch {
+	case sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy:
+		refusal = statSuspended
+	case now < sp.retryAt:
+		return false
+	case !sp.gov.AllowIssue(now, len(sp.outstanding) == 0):
+		refusal = statGovernorDeferred
+	default:
+		return true
+	}
+	if count {
+		sp.count(refusal, 1)
+	}
+	return false
+}
+
+// admission is admit's verdict on one candidate.
+type admission int
+
+const (
+	admitted admission = iota
+	// skipped: this candidate is refused (and counted); the next may pass.
+	skipped
+	// stopped: the breaker refuses every issue this opportunity.
+	stopped
+)
+
+// admit applies the per-candidate gates every issue path shares, in order:
+// the per-session page budget (inactive at the 0 default), the engine-wide
+// scheduler for extra jobs beyond this speculator's first outstanding one (a
+// worker slot must be free and the footprint must fit the pool's headroom),
+// and the circuit breaker. The breaker comes last, once a candidate is
+// actually worth issuing, so an admitted half-open probe always corresponds
+// to a real job (a probe consumed with nothing to issue would wedge the
+// breaker half-open forever). A refused candidate's CSE claim cseKey, if
+// any, is withdrawn.
+func (sp *Speculator) admit(m *Manipulation, cseKey string, now sim.Time) admission {
+	v := admitted
+	switch {
+	case sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages:
+		sp.count(statBudgetDeferred, 1)
+		v = skipped
+	case len(sp.outstanding) > 0 && !sp.sched.AdmitExtra(m.Key(), m.EstPages):
+		sp.count(statDeferred, 1)
+		v = skipped
+	case !sp.breaker.Allow(now):
+		v = stopped
+	}
+	if v != admitted && cseKey != "" {
+		sp.cse.AbortClaim(cseKey)
+	}
+	return v
+}
+
 // maybeIssuePredicted tries to issue one predicted-final job (DESIGN.md §14):
 // the Predictor's top-k candidates for the current canvas state, confidence-
-// descending, filtered to finals that still extend the partial query. It
-// shares maybeIssue's admission gates but defers their counters to the
-// fallback path — a silent nil here lets maybeIssue run and account the
-// deferral once. Nil-safe: without a predictor it returns immediately.
+// descending, filtered to finals that still extend the partial query. A nil
+// job lets maybeIssue run next. Nil-safe: without a predictor it returns
+// immediately.
 func (sp *Speculator) maybeIssuePredicted(now sim.Time) (*Job, error) {
-	if sp.pred == nil || sp.partial.IsEmpty() {
-		return nil, nil
-	}
-	if sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy {
-		return nil, nil
-	}
-	if now < sp.retryAt {
-		return nil, nil
-	}
-	if !sp.gov.AllowIssue(now, len(sp.outstanding) == 0) {
+	if sp.pred == nil || sp.partial.IsEmpty() || !sp.gatesOpen(now, false) {
 		return nil, nil
 	}
 	prevKey := ""
@@ -1236,9 +1049,8 @@ func (sp *Speculator) maybeIssuePredicted(now sim.Time) (*Job, error) {
 			continue
 		}
 		m := Manipulation{Kind: ManipPredictFinal, Graph: c.Graph, Projs: q.Projections}
-		fk := FormKey(c.Graph, q.Projections)
 		key := m.Key()
-		if sp.abandoned[key] || sp.predictedReady[fk] || sp.isKnown(key) {
+		if sp.abandoned[key] || sp.predictedReady[FormKey(c.Graph, q.Projections)] || sp.isKnown(key) {
 			continue
 		}
 		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
@@ -1247,89 +1059,21 @@ func (sp *Speculator) maybeIssuePredicted(now sim.Time) (*Job, error) {
 		if m.Benefit < sp.cfg.MinBenefit {
 			continue
 		}
-		if sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages {
-			sp.stats.BudgetDeferred++
-			sp.obsBudgetDeferred.Inc()
+		switch sp.admit(&m, "", now) {
+		case skipped:
 			continue
-		}
-		if len(sp.outstanding) > 0 && !sp.sched.AdmitExtra(m.EstPages) {
-			sp.stats.Deferred++
-			sp.obsDeferred.Inc()
-			continue
-		}
-		if !sp.breaker.Allow(now) {
+		case stopped:
 			return nil, nil
 		}
-		job, err := sp.issuePredicted(m, fk, now)
-		if err != nil {
-			sp.noteFailure(key, now, err)
-			return nil, nil
-		}
-		sp.retainedPages += m.EstPages
-		sp.outstanding = append(sp.outstanding, job)
-		sp.stats.Issued++
-		sp.stats.PredictedIssued++
-		sp.obsPredIssued.Inc()
-		return job, nil
+		return sp.launch(m, "", now), nil
 	}
 	return nil, nil
-}
-
-// issuePredicted executes a predicted final eagerly — or satisfies it from the
-// answer cache — and returns the job, mirroring issue()'s registration order:
-// eager work first, contention-model and scheduler registration after, so the
-// prediction does not inflate the cost of its own execution.
-func (sp *Speculator) issuePredicted(m Manipulation, fk string, now sim.Time) (*Job, error) {
-	job := &Job{Manip: m, IssuedAt: now, formKey: fk}
-	if rows, schema, cost, ok := sp.answers.Get(fk, sp.eng.DataVersion); ok {
-		// Another session (or an earlier replay) already computed this final:
-		// the job completes immediately, re-referencing the entry at finalize.
-		job.predRows, job.predSchema, job.predCost = rows, schema, cost
-		job.fromCache = true
-		job.CompletesAt = now
-		sp.stats.AnswerCacheHits++
-	} else {
-		job.predVersions = sp.eng.DataVersions(m.Graph.Relations())
-		res, err := sp.eng.RunQuery(&plan.Query{Graph: m.Graph, Projections: m.Projs})
-		if err != nil {
-			return nil, err
-		}
-		job.predRows, job.predSchema = res.Rows, res.Schema
-		job.predCost = res.Duration
-		job.CompletesAt = now.Add(res.Duration)
-	}
-	job.jobID = sp.eng.BeginJob()
-	sp.sched.Acquire()
-	job.Deadline = sp.gov.DeadlineFor(now, m.EstDuration)
-	sp.gov.NoteIssue(sp.govID, m.Key(), m.Benefit, m.EstPages)
-	job.span = sp.eng.Tracer().Start("manip."+m.Kind.String(), now, 0,
-		obs.Attr{Key: "key", Value: m.Key()})
-	if job.fromCache {
-		job.span.Annotate("source", "answer_cache")
-	}
-	sp.obsIssued.Inc()
-	return job, nil
 }
 
 // maybeIssue enumerates and scores the manipulation space and issues the
 // best alternative if it clears the benefit threshold.
 func (sp *Speculator) maybeIssue(now sim.Time) (*Job, error) {
-	if sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy {
-		sp.stats.Suspended++
-		sp.obsSuspended.Inc()
-		return nil, nil
-	}
-	// Failure containment: honor the post-failure backoff. A no-op on the
-	// fault-free path (retryAt stays 0).
-	if now < sp.retryAt {
-		return nil, nil
-	}
-	// Overload governance: under pressure the governor refuses extra jobs
-	// (pressured band) or every issue (critical/degraded). Nil-safe: the
-	// ungoverned path stays decision-identical.
-	if !sp.gov.AllowIssue(now, len(sp.outstanding) == 0) {
-		sp.stats.GovernorDeferred++
-		sp.obsGovDeferred.Inc()
+	if !sp.gatesOpen(now, true) {
 		return nil, nil
 	}
 	elapsed := 0.0
@@ -1356,46 +1100,11 @@ func (sp *Speculator) maybeIssue(now sim.Time) (*Job, error) {
 			best = m
 		}
 	}
-	if best == nil {
+	// Only the best candidate is considered: a refusal ends the opportunity.
+	if best == nil || sp.admit(best, "", now) != admitted {
 		return nil, nil
 	}
-	// Per-session budget: a candidate that would push the session's retained
-	// speculative footprint past BudgetPages is skipped. Inactive (and
-	// decision-identical to history) at the 0 default.
-	if sp.cfg.BudgetPages > 0 && sp.retainedPages+best.EstPages > sp.cfg.BudgetPages {
-		sp.stats.BudgetDeferred++
-		sp.obsBudgetDeferred.Inc()
-		return nil, nil
-	}
-	// Extra jobs (beyond this speculator's first outstanding manipulation)
-	// pass the engine-wide scheduler: a worker slot must be free and the
-	// candidate's footprint must fit the pool's headroom. Never consulted on
-	// the single-worker path, where maybeIssue only runs on an empty slot.
-	if len(sp.outstanding) > 0 && !sp.sched.AdmitExtra(best.EstPages) {
-		sp.stats.Deferred++
-		sp.obsDeferred.Inc()
-		return nil, nil
-	}
-	// Circuit breaker: consult it only once a candidate is actually worth
-	// issuing, so an admitted half-open probe always corresponds to a real
-	// job (a probe consumed with nothing to issue would wedge the breaker
-	// half-open forever). Unconditional on the fault-free path (closed).
-	if !sp.breaker.Allow(now) {
-		return nil, nil
-	}
-	job, err := sp.issue(*best, now)
-	if err != nil {
-		// Best-effort: an issue-time failure (I/O fault under the eager
-		// execution) is contained — never surfaced to the session. The job
-		// was not issued, so lifecycle accounting is untouched; issue()
-		// already rolled back its partial side effects.
-		sp.noteFailure(best.Key(), now, err)
-		return nil, nil
-	}
-	sp.retainedPages += best.EstPages
-	sp.outstanding = append(sp.outstanding, job)
-	sp.stats.Issued++
-	return job, nil
+	return sp.launch(*best, "", now), nil
 }
 
 // maybeIssueShared is maybeIssue's candidate loop under cross-session CSE
@@ -1438,7 +1147,6 @@ func (sp *Speculator) maybeIssueShared(candidates []Manipulation, elapsed float6
 	}
 	sort.SliceStable(scored, func(i, j int) bool { return scored[i].Benefit > scored[j].Benefit })
 	for _, m := range scored {
-		claimed := false
 		gk := ""
 		if m.Kind == ManipMaterialize {
 			gk = CSEKey(m.Graph)
@@ -1455,47 +1163,14 @@ func (sp *Speculator) maybeIssueShared(candidates []Manipulation, elapsed float6
 			if !sp.cse.TryClaim(gk, m.EstPages) {
 				continue // lost a concurrent claim race; re-evaluate later
 			}
-			claimed = true
 		}
-		if sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.stats.BudgetDeferred++
-			sp.obsBudgetDeferred.Inc()
+		switch sp.admit(m, gk, now) {
+		case skipped:
 			continue
-		}
-		if len(sp.outstanding) > 0 && !sp.sched.AdmitExtraKeyed(m.Key(), m.EstPages) {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.stats.Deferred++
-			sp.obsDeferred.Inc()
-			continue
-		}
-		if !sp.breaker.Allow(now) {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
+		case stopped:
 			return nil, nil
 		}
-		job, err := sp.issue(*m, now)
-		if err != nil {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.noteFailure(m.Key(), now, err)
-			return nil, nil
-		}
-		if claimed {
-			job.cseKey = gk
-			sp.cse.SetTable(gk, job.tableName)
-			sp.stats.SharedBuilds++
-		}
-		sp.retainedPages += m.EstPages
-		sp.outstanding = append(sp.outstanding, job)
-		sp.stats.Issued++
-		return job, nil
+		return sp.launch(*m, gk, now), nil
 	}
 	return nil, nil
 }
@@ -1565,8 +1240,9 @@ func splitRelCol(s string) (rel, col string, ok bool) {
 	return "", "", false
 }
 
-// issue executes the manipulation eagerly, hides its side effects until
-// completion, and returns the job.
+// issue executes the manipulation eagerly and hides its side effects until
+// completion. A predicted final is executed — or satisfied from the answer
+// cache — and its answer carried by the job until completion publishes it.
 func (sp *Speculator) issue(m Manipulation, now sim.Time) (*Job, error) {
 	job := &Job{Manip: m, IssuedAt: now}
 	switch m.Kind {
@@ -1579,8 +1255,8 @@ func (sp *Speculator) issue(m Manipulation, now sim.Time) (*Job, error) {
 		sp.eng.Catalog.DropView(name) // hidden until completion
 		job.tableName = name
 		job.CompletesAt = now.Add(res.Duration)
-		sp.stats.MaterializationsIssued++
-		sp.stats.MaterializationTime += res.Duration
+		sp.count(statMaterializationsIssued, 1)
+		sp.count(statMaterializationTime, int64(res.Duration))
 	case ManipIndex:
 		res, err := sp.eng.CreateIndex(m.Rel, m.Col)
 		if err != nil {
@@ -1613,11 +1289,48 @@ func (sp *Speculator) issue(m Manipulation, now sim.Time) (*Job, error) {
 			return nil, err
 		}
 		job.CompletesAt = now.Add(res.Duration)
+	case ManipPredictFinal:
+		job.formKey = FormKey(m.Graph, m.Projs)
+		if rows, schema, cost, ok := sp.answers.Get(job.formKey, sp.eng.DataVersion); ok {
+			// Another session (or an earlier replay) already computed this
+			// final: the job completes immediately, re-referencing the entry
+			// at finalize.
+			job.predRows, job.predSchema, job.predCost = rows, schema, cost
+			job.fromCache = true
+			job.CompletesAt = now
+			sp.count(statAnswerCacheHits, 1)
+		} else {
+			job.predVersions = sp.eng.DataVersions(m.Graph.Relations())
+			res, err := sp.eng.RunQuery(&plan.Query{Graph: m.Graph, Projections: m.Projs})
+			if err != nil {
+				return nil, err
+			}
+			job.predRows, job.predSchema = res.Rows, res.Schema
+			job.predCost = res.Duration
+			job.CompletesAt = now.Add(res.Duration)
+		}
 	default:
 		return nil, fmt.Errorf("core: cannot issue %v", m)
 	}
-	// Register with the contention model only after the eager execution above:
-	// a session's own manipulation must not inflate the cost of the very
+	return job, nil
+}
+
+// launch issues an admitted candidate, claimed in the CSE registry under
+// cseKey when that is non-empty, and registers the job as outstanding. An
+// issue-time failure (an I/O fault under the eager execution) is contained —
+// recorded against the key and the breaker, never surfaced to the session —
+// and yields nil; issue already rolled back its partial side effects.
+func (sp *Speculator) launch(m Manipulation, cseKey string, now sim.Time) *Job {
+	job, err := sp.issue(m, now)
+	if err != nil {
+		if cseKey != "" {
+			sp.cse.AbortClaim(cseKey)
+		}
+		sp.noteFailure(m.Key(), now, err)
+		return nil
+	}
+	// Register with the contention model only after the eager execution: a
+	// session's own manipulation must not inflate the cost of the very
 	// engine work that created it. The worker slot is held the same way,
 	// issue to terminal transition.
 	job.jobID = sp.eng.BeginJob()
@@ -1632,51 +1345,165 @@ func (sp *Speculator) issue(m Manipulation, now sim.Time) (*Job, error) {
 	if job.tableName != "" {
 		job.span.Annotate("table", job.tableName)
 	}
-	sp.obsIssued.Inc()
-	return job, nil
+	if job.fromCache {
+		job.span.Annotate("source", "answer_cache")
+	}
+	if cseKey != "" {
+		job.cseKey = cseKey
+		sp.cse.SetTable(cseKey, job.tableName)
+		sp.count(statSharedBuilds, 1)
+	}
+	sp.retainedPages += m.EstPages
+	sp.outstanding = append(sp.outstanding, job)
+	sp.count(statIssued, 1)
+	if m.Kind == ManipPredictFinal {
+		sp.count(statPredictedIssued, 1)
+	}
+	return job
 }
 
-// cancelAt cancels job at simulated instant at, charging its elapsed run time
-// to Stats.Waste and closing its trace span. at == 0 means the owner has no
-// timeline (session teardown): the full job duration is charged and the span
-// closes at its issue instant. Call-site counters (CanceledInvalidated,
-// CanceledAtGo, CanceledOnClose) stay with the callers.
-func (sp *Speculator) cancelAt(job *Job, at sim.Time, outcome string) {
-	if job.Manip.Kind == ManipPredictFinal {
-		// Every cancellation path (invalidated, at GO, on close, shed,
-		// deadline) is a predicted terminal, balancing the extended quiesce
-		// identity PredictedIssued == PredictedCompleted + PredictedCanceled.
-		sp.stats.PredictedCanceled++
-		sp.obsPredCanceled.Inc()
+// outcome is a job's terminal state. Every issued job reaches exactly one.
+type outcome int
+
+const (
+	outcomeCompleted outcome = iota
+	outcomeInvalidated
+	outcomeAtGo
+	outcomeOnClose
+	outcomeAborted
+	outcomeShed
+	outcomeDeadline
+)
+
+// outcomes gives each terminal state its Stats counter and span annotation.
+var outcomes = [...]struct {
+	stat stat
+	span string
+}{
+	outcomeCompleted:   {statCompleted, "completed"},
+	outcomeInvalidated: {statCanceledInvalidated, "canceled_invalidated"},
+	outcomeAtGo:        {statCanceledAtGo, "canceled_at_go"},
+	outcomeOnClose:     {statCanceledOnClose, "canceled_on_close"},
+	outcomeAborted:     {statAborted, "aborted"},
+	outcomeShed:        {statShed, "shed"},
+	outcomeDeadline:    {statDeadlineAborts, "deadline_exceeded"},
+}
+
+// terminate performs job's terminal transition at simulated instant at: it
+// takes the job off the outstanding list, ends its contention-model
+// registration and worker slot, and counts the outcome once — the overall
+// terminal and, for a predicted final, PredictedCompleted or
+// PredictedCanceled. A completed job's results stay as prepared state (the
+// caller already published them). Any other outcome undoes the job's hidden
+// side effects and charges the run time that served nothing to Waste through
+// the charged-once ledger: everything up to at for a cancellation, the full
+// duration for an aborted completion (cause is its failure). at == 0 means
+// the owner has no timeline (session teardown): the full duration is
+// charged and the span closes at the issue instant.
+func (sp *Speculator) terminate(job *Job, at sim.Time, o outcome, cause error) {
+	if i := slices.Index(sp.outstanding, job); i >= 0 {
+		sp.outstanding = slices.Delete(sp.outstanding, i, i+1)
 	}
-	sp.cancel(job)
-	sp.gov.NoteTerminal(sp.govID, job.Manip.Key())
-	// A canceled half-open probe resolves nothing: re-open the breaker so a
-	// later probe gets its turn (no-op unless half-open).
-	sp.breaker.Canceled(at)
-	elapsed := job.CompletesAt.Sub(job.IssuedAt)
-	end := job.IssuedAt
-	if at > 0 {
-		end = at
+	sp.eng.EndJob(job.jobID)
+	sp.sched.Release()
+	key := job.Manip.Key()
+	sp.gov.NoteTerminal(sp.govID, key)
+	sp.count(outcomes[o].stat, 1)
+	if job.Manip.Kind == ManipPredictFinal {
+		if o == outcomeCompleted {
+			sp.count(statPredictedCompleted, 1)
+		} else {
+			sp.count(statPredictedCanceled, 1)
+		}
+	}
+	end := at
+	switch o {
+	case outcomeCompleted:
+		sp.keepCompleted(job)
+		delete(sp.attempts, key)
+		if sp.breaker.Success() {
+			sp.count(statBreakerResumes, 1)
+		}
+		sp.gov.NoteSuccess(at)
+		end = job.CompletesAt
+	case outcomeAborted:
+		// The job ran to completion; only publishing its results failed.
+		sp.undo(job)
+		sp.chargeWaste(wasteBuildID(job), job.CompletesAt.Sub(job.IssuedAt))
+	default:
+		sp.undo(job)
+		// A canceled half-open probe resolves nothing: re-open the breaker
+		// so a later probe gets its turn (no-op unless half-open).
+		sp.breaker.Canceled(at)
+		ran := job.CompletesAt.Sub(job.IssuedAt)
 		switch e := at.Sub(job.IssuedAt); {
+		case at == 0:
+			end = job.IssuedAt
 		case e < 0:
 			// The job was issued at a future instant (a GO that waited for a
 			// completion issues follow-ups at now+waited) and is canceled
-			// before that instant ever arrives: it never ran, so charging its
-			// full duration — as this path once did — overstates waste.
-			elapsed = 0
-			end = job.IssuedAt
-		case e < elapsed:
-			elapsed = e
+			// before that instant ever arrives: it never ran.
+			ran, end = 0, job.IssuedAt
+		case e < ran:
+			ran = e
+		}
+		sp.chargeWaste(wasteBuildID(job), ran)
+		if o == outcomeDeadline {
+			// A strike on the global breaker, not the session's (see
+			// governDegrade).
+			sp.gov.NoteFailure(at)
 		}
 	}
-	sp.chargeWaste(wasteBuildID(job), elapsed)
-	sp.obsCanceled.Inc()
-	if job.span != nil {
-		job.span.Annotate("outcome", outcome)
-		job.span.End(end)
-		job.span = nil
+	job.span.Annotate("outcome", outcomes[o].span)
+	if cause != nil {
+		job.span.Annotate("error", cause.Error())
 	}
+	job.span.End(end)
+	if o == outcomeAborted {
+		// A completion-time failure counts against the manipulation's retry
+		// budget and the session breaker.
+		sp.noteFailure(key, at, cause)
+	}
+}
+
+// terminateWhere ends, in issue order, every outstanding job pick selects
+// with outcome o, and returns them.
+func (sp *Speculator) terminateWhere(at sim.Time, o outcome, pick func(*Job) bool) []*Job {
+	var ended []*Job
+	for _, job := range append([]*Job(nil), sp.outstanding...) {
+		if pick(job) {
+			sp.terminate(job, at, o, nil)
+			ended = append(ended, job)
+		}
+	}
+	return ended
+}
+
+// keepCompleted records a completed job's results as prepared state. A
+// materialization stays a sheddable speculative asset: its pages remain
+// registered (retained tier) until GC or shutdown removes them. Indexes,
+// histograms, staged pages, and published predicted answers become durable
+// improvements (the answer cache accounts its own footprint); they stop
+// counting against the session's retained-footprint budget.
+func (sp *Speculator) keepCompleted(job *Job) {
+	if job.Manip.Kind != ManipMaterialize {
+		sp.releaseRetained(job.Manip.EstPages)
+		return
+	}
+	gk := job.Manip.Graph.Key()
+	cost := job.CompletesAt.Sub(job.IssuedAt)
+	sp.completedPages[gk] = job.Manip.EstPages
+	sp.gov.NoteRetained(sp.govID, job.Manip.Key(), cost, job.Manip.EstPages)
+	if job.cseKey == "" {
+		sp.completedCost[gk] = cost
+		return
+	}
+	// A shared build: the registry owns its waste accounting (charged once
+	// across all consumers at the last release), so the per-session
+	// completedCost stays empty for it.
+	sp.cse.FinishBuild(job.cseKey, cost)
+	sp.sharedKeys[gk] = true
+	sp.sharedOwned[gk] = true
 }
 
 // recordHit classifies one answered GO: a hit if the final plan read at least
@@ -1705,11 +1532,9 @@ func (sp *Speculator) recordHit(node plan.Node) {
 		})
 	}
 	if hit {
-		sp.stats.Hits++
-		sp.obsHits.Inc()
+		sp.count(statHits, 1)
 	} else {
-		sp.stats.Misses++
-		sp.obsMisses.Inc()
+		sp.count(statMisses, 1)
 	}
 }
 
@@ -1725,16 +1550,7 @@ func (sp *Speculator) publishProfile() {
 	m.Gauge("learner.think_median_s").Set(ps.ThinkMedianSeconds)
 }
 
-// cancel deregisters a job from the contention model, frees its worker
-// slot, and undoes its hidden side effects.
-func (sp *Speculator) cancel(job *Job) {
-	sp.eng.EndJob(job.jobID)
-	sp.sched.Release()
-	sp.undo(job)
-}
-
-// undo reverts a job's hidden side effects (shared by cancellation and by
-// completion-failure rollback, where EndJob has already run).
+// undo reverts a job's hidden side effects.
 func (sp *Speculator) undo(job *Job) {
 	if job.cseKey != "" {
 		// Withdraw the shared-build claim: no session can have attached while
@@ -1751,7 +1567,7 @@ func (sp *Speculator) undo(job *Job) {
 		// best-effort — a failure leaves garbage, never corruption — but it
 		// must not vanish silently: count it so the fault matrix can see it.
 		if err := sp.eng.DropTable(job.tableName); err != nil {
-			sp.obsUndoFailures.Inc()
+			sp.count(statUndoFailures, 1)
 		}
 	case ManipIndex:
 		if job.index != nil {
@@ -1764,32 +1580,21 @@ func (sp *Speculator) undo(job *Job) {
 		// cache-path job never even held a reference before completion).
 	case ManipStage:
 		if err := sp.eng.Unstage(job.Manip.Rel); err != nil {
-			sp.obsUndoFailures.Inc()
+			sp.count(statUndoFailures, 1)
 		}
 	}
 }
 
 // CancelOutstanding cancels the in-flight manipulations, if any, undoing
-// their hidden side effects, and returns the canceled jobs so the owner can
-// drop their scheduled completions. Sessions use it when their context is
-// canceled mid-manipulation.
-func (sp *Speculator) CancelOutstanding() []*Job {
-	canceled := sp.outstanding
-	for _, job := range canceled {
-		sp.cancelAt(job, 0, "canceled_on_close")
-		sp.stats.CanceledOnClose++
-	}
-	sp.outstanding = nil
-	return canceled
+// their hidden side effects. Sessions use it when their context is canceled
+// mid-manipulation.
+func (sp *Speculator) CancelOutstanding() {
+	sp.terminateWhere(0, outcomeOnClose, func(*Job) bool { return true })
 }
 
 // Shutdown drops everything the Speculator still owns (end of session).
 func (sp *Speculator) Shutdown() error {
-	for _, job := range sp.outstanding {
-		sp.cancelAt(job, 0, "canceled_on_close")
-		sp.stats.CanceledOnClose++
-	}
-	sp.outstanding = nil
+	sp.CancelOutstanding()
 	for _, key := range sortedKeys(sp.completed) {
 		if sp.sharedKeys[key] {
 			// Shutdown releases the session's shared-build references without

@@ -95,7 +95,7 @@ type ChaosReport struct {
 	// RecoveredOrphans sums the speculative orphan pages freed by WAL
 	// recovery across all crash batches.
 	RecoveredOrphans int
-	Stats            core.Stats // addStatsAll sum over every session
+	Stats            core.Stats // summed over every session
 	DegradedTime     sim.Duration
 	// Violations lists every invariant breach found, one line each. A clean
 	// soak reports none.
@@ -132,10 +132,8 @@ func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome
 		rep.Violations = append(rep.Violations, fmt.Sprintf("%s: ", label)+fmt.Sprintf(format, args...))
 	}
 	for u, st := range out.PerUser {
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-			st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-		if st.Issued != terminal {
-			fail("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, terminal, st)
+		if err := st.CheckQuiesced(); err != nil {
+			fail("session %d: %v", u, err)
 		}
 	}
 	for u, ledger := range out.WasteLedgers {
@@ -168,7 +166,7 @@ func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome
 				chaosKey(qt), qt.Rows, qt.RowsKey, want.Rows, want.RowsKey)
 		}
 	}
-	rep.Stats = addStatsAll(rep.Stats, out.Stats)
+	rep.Stats.Add(out.Stats)
 	rep.DegradedTime += gov.DegradedTime(b.endAt)
 }
 

@@ -107,10 +107,8 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 		}
 	}
 	for u, st := range out.PerUser {
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-			st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-		if st.Issued != terminal {
-			t.Errorf("session %d: extended quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, terminal, st)
+		if err := st.CheckQuiesced(); err != nil {
+			t.Errorf("session %d: %v", u, err)
 		}
 	}
 	if n := cfg.Governor.Outstanding(); n != 0 {

@@ -89,11 +89,8 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 			}
 		}
 		for u, st := range out.PerUser {
-			terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-				st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-			if st.Issued != terminal {
-				t.Errorf("%s: session %d quiesce identity violated: issued %d != terminal %d (%+v)",
-					label, u, st.Issued, terminal, st)
+			if err := st.CheckQuiesced(); err != nil {
+				t.Errorf("%s: session %d: %v", label, u, err)
 			}
 		}
 	}

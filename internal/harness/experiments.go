@@ -439,28 +439,24 @@ func replayWarmSpeculative(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, e
 	cfg.NamePrefix = fmt.Sprintf("specw_t%d", idx)
 	sp := core.NewSpeculator(env.Eng, core.NewLearner(DefaultLearnerConfig()), cfg)
 	var out []QueryTiming
-	var pending pendingJobs
 	qIdx := 0
 	for _, ev := range tr.Events {
 		at := ev.At()
-		if err := pending.advance(sp, at); err != nil {
+		if err := sp.CompleteDue(at); err != nil {
 			return nil, err
 		}
 		if ev.Kind == trace.EvGo {
-			res, goOut, err := sp.OnGo(at)
+			res, _, err := sp.OnGo(at)
 			if err != nil {
 				return nil, err
 			}
-			pending.apply(goOut)
 			out = append(out, QueryTiming{TraceIdx: idx, QueryIdx: qIdx, Seconds: res.Duration.Seconds(), Rows: res.RowCount})
 			qIdx++
 			continue
 		}
-		evOut, err := sp.OnEvent(ev, at)
-		if err != nil {
+		if _, err := sp.OnEvent(ev, at); err != nil {
 			return nil, err
 		}
-		pending.apply(evOut)
 	}
 	return out, sp.Shutdown()
 }
@@ -650,11 +646,7 @@ type BenchResult struct {
 	GarbageCollected    int `json:"garbage_collected"`
 	Hits                int `json:"hits"`
 	Misses              int `json:"misses"`
-	// WaitedAtGo and Suspended are the TRUE sums over every trace of the
-	// corpus (computed with addStatsAll from the per-trace stats). The legacy
-	// aggregate dropped both fields — see addStats — and the ablation
-	// experiments' pinned text outputs still do; only the bench report carries
-	// the real aggregates.
+	// WaitedAtGo and Suspended are summed over every trace of the corpus.
 	WaitedAtGo int `json:"waited_at_go"`
 	Suspended  int `json:"suspended"`
 
@@ -750,11 +742,10 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 		Misses:              pr.Stats.Misses,
 		WasteS:              pr.Stats.Waste.Seconds(),
 	}
-	full := SumStatsAll(pr.PerTrace)
-	res.WaitedAtGo = full.WaitedAtGo
-	res.Suspended = full.Suspended
-	res.Shed = full.Shed + full.ShedRetained
-	res.DeadlineAborts = full.DeadlineAborts
+	res.WaitedAtGo = pr.Stats.WaitedAtGo
+	res.Suspended = pr.Stats.Suspended
+	res.Shed = pr.Stats.Shed + pr.Stats.ShedRetained
+	res.DeadlineAborts = pr.Stats.DeadlineAborts
 	if off > 0 {
 		res.RelativeResponseTime = on / off
 		res.ImprovementPct = (1 - on/off) * 100

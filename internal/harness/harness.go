@@ -229,67 +229,6 @@ type SpecOutcome struct {
 	FinalStats core.Stats
 }
 
-// pendingJobs tracks scheduled manipulation completions, ordered by
-// CompletesAt with FIFO tie-breaking (issue order), so replay loops complete
-// due jobs in a deterministic sequence. With Workers=1 it holds at most one
-// job and degenerates to the historical single-pending variable.
-type pendingJobs struct {
-	jobs []*core.Job
-}
-
-func (p *pendingJobs) add(jobs ...*core.Job) {
-	for _, job := range jobs {
-		i := len(p.jobs)
-		for i > 0 && p.jobs[i-1].CompletesAt > job.CompletesAt {
-			i--
-		}
-		p.jobs = append(p.jobs, nil)
-		copy(p.jobs[i+1:], p.jobs[i:])
-		p.jobs[i] = job
-	}
-}
-
-func (p *pendingJobs) remove(jobs ...*core.Job) {
-	for _, job := range jobs {
-		for i, j := range p.jobs {
-			if j == job {
-				p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// next returns the earliest pending job, or nil.
-func (p *pendingJobs) next() *core.Job {
-	if len(p.jobs) == 0 {
-		return nil
-	}
-	return p.jobs[0]
-}
-
-// advance completes every job due by t (including chained follow-ups) on sp.
-func (p *pendingJobs) advance(sp *core.Speculator, t sim.Time) error {
-	for {
-		job := p.next()
-		if job == nil || job.CompletesAt > t {
-			return nil
-		}
-		p.remove(job)
-		next, err := sp.Complete(job, job.CompletesAt)
-		if err != nil {
-			return err
-		}
-		p.add(next...)
-	}
-}
-
-// apply folds one event outcome into the pending set.
-func (p *pendingJobs) apply(out core.EventOutcome) {
-	p.remove(out.Canceled...)
-	p.add(out.Issued...)
-}
-
 // RunTraceSpeculative replays a trace through the speculation subsystem:
 // interface events drive the Speculator; asynchronous manipulations complete
 // on the simulated timeline; GO events execute the (possibly rewritten)
@@ -308,20 +247,17 @@ func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Co
 	}
 	sp := core.NewSpeculator(eng, learner, cfg)
 	out := &SpecOutcome{}
-	var pending pendingJobs
-
 	qIdx := 0
 	for _, ev := range tr.Events {
 		at := ev.At()
-		if err := pending.advance(sp, at); err != nil {
+		if err := sp.CompleteDue(at); err != nil {
 			return nil, err
 		}
 		if ev.Kind == trace.EvGo {
-			res, goOut, err := sp.OnGo(at)
+			res, _, err := sp.OnGo(at)
 			if err != nil {
 				return nil, err
 			}
-			pending.apply(goOut)
 			out.Timings = append(out.Timings, QueryTiming{
 				TraceIdx: traceIdx,
 				QueryIdx: qIdx,
@@ -332,11 +268,9 @@ func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Co
 			qIdx++
 			continue
 		}
-		evOut, err := sp.OnEvent(ev, at)
-		if err != nil {
+		if _, err := sp.OnEvent(ev, at); err != nil {
 			return nil, err
 		}
-		pending.apply(evOut)
 	}
 	out.Stats = sp.Stats()
 	if err := sp.Shutdown(); err != nil {
@@ -354,11 +288,7 @@ func DefaultLearnerConfig() core.LearnerConfig { return core.DefaultLearnerConfi
 type PairedRun struct {
 	Normal []QueryTiming
 	Spec   []QueryTiming
-	Stats  core.Stats // aggregated speculation counters (see addStats)
-	// PerTrace holds each trace's un-aggregated speculation counters, so
-	// callers that need the fields addStats drops (WaitedAtGo, Suspended) can
-	// sum them exactly without disturbing the pinned Stats aggregate.
-	PerTrace []core.Stats
+	Stats  core.Stats // speculation counters summed over every trace
 }
 
 // RunPaired executes the paired replay for a corpus.
@@ -375,8 +305,7 @@ func RunPaired(env *Env, traces []*trace.Trace, cfg core.Config) (*PairedRun, er
 			return nil, fmt.Errorf("harness: speculative replay of trace %d: %w", i, err)
 		}
 		out.Spec = append(out.Spec, so.Timings...)
-		out.Stats = addStats(out.Stats, so.Stats)
-		out.PerTrace = append(out.PerTrace, so.Stats)
+		out.Stats.Add(so.Stats)
 	}
 	if len(out.Normal) != len(out.Spec) {
 		return nil, fmt.Errorf("harness: paired runs disagree: %d vs %d queries", len(out.Normal), len(out.Spec))
@@ -384,64 +313,11 @@ func RunPaired(env *Env, traces []*trace.Trace, cfg core.Config) (*PairedRun, er
 	return out, nil
 }
 
-func addStats(a, b core.Stats) core.Stats {
-	a.Issued += b.Issued
-	a.Completed += b.Completed
-	a.CanceledInvalidated += b.CanceledInvalidated
-	a.CanceledAtGo += b.CanceledAtGo
-	a.CanceledOnClose += b.CanceledOnClose
-	// WaitedAtGo and Suspended are intentionally NOT summed: the ablation
-	// experiments have always reported them from the aggregate's zero value,
-	// and their printed outputs are pinned. Exact per-session values are
-	// available through specdb.Session.Stats / SessionManager.Stats, through
-	// PairedRun.PerTrace, or via addStatsAll for new aggregates.
-	a.MaterializationsIssued += b.MaterializationsIssued
-	a.MaterializationTime += b.MaterializationTime
-	a.GarbageCollected += b.GarbageCollected
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Waste += b.Waste
-	return a
-}
-
-// addStatsAll sums EVERY Stats field, unlike addStats, whose omissions are
-// pinned into historical experiment outputs. New aggregates (the bench
-// report's true waited/suspended counts, the scaled-session experiments) use
-// this complete summation.
-func addStatsAll(a, b core.Stats) core.Stats {
-	a = addStats(a, b)
-	a.WaitedAtGo += b.WaitedAtGo
-	a.Suspended += b.Suspended
-	a.Deferred += b.Deferred
-	a.Failed += b.Failed
-	a.Aborted += b.Aborted
-	a.Abandoned += b.Abandoned
-	a.BreakerTrips += b.BreakerTrips
-	a.BreakerResumes += b.BreakerResumes
-	a.SharedBuilds += b.SharedBuilds
-	a.SharedAttached += b.SharedAttached
-	a.DedupSaved += b.DedupSaved
-	a.BudgetDeferred += b.BudgetDeferred
-	a.Shed += b.Shed
-	a.ShedRetained += b.ShedRetained
-	a.DeadlineAborts += b.DeadlineAborts
-	a.GovernorDeferred += b.GovernorDeferred
-	a.PredictedIssued += b.PredictedIssued
-	a.PredictedCompleted += b.PredictedCompleted
-	a.PredictedCanceled += b.PredictedCanceled
-	a.PredictedGos += b.PredictedGos
-	a.InstantSaved += b.InstantSaved
-	a.PredictEquivFailures += b.PredictEquivFailures
-	a.AnswerCacheHits += b.AnswerCacheHits
-	return a
-}
-
-// SumStatsAll fully aggregates a per-session stats slice (every field summed;
-// see addStatsAll).
-func SumStatsAll(per []core.Stats) core.Stats {
+// SumStats sums a per-session stats slice, field by field.
+func SumStats(per []core.Stats) core.Stats {
 	var total core.Stats
 	for _, s := range per {
-		total = addStatsAll(total, s)
+		total.Add(s)
 	}
 	return total
 }
@@ -461,11 +337,7 @@ func RunMultiUserSpeculative(eng *engine.Engine, traces []*trace.Trace, cfg core
 	if err != nil {
 		return nil, err
 	}
-	out := &MultiUserOutcome{Timings: timings}
-	for _, s := range perUser {
-		out.Stats = addStats(out.Stats, s)
-	}
-	return out, nil
+	return &MultiUserOutcome{Timings: timings, Stats: SumStats(perUser)}, nil
 }
 
 // runMultiUserSpec is the merged-event replay loop shared by the multi-user,
@@ -478,9 +350,8 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 		return nil, nil, nil, err
 	}
 	type userState struct {
-		sp      *core.Speculator
-		pending pendingJobs
-		qIdx    int
+		sp   *core.Speculator
+		qIdx int
 	}
 	users := make([]*userState, len(traces))
 	for i := range traces {
@@ -519,16 +390,15 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 		at := item.ev.At()
 		// Complete due jobs for every user up to this instant.
 		for _, other := range users {
-			if err := other.pending.advance(other.sp, at); err != nil {
+			if err := other.sp.CompleteDue(at); err != nil {
 				return nil, nil, nil, err
 			}
 		}
 		if item.ev.Kind == trace.EvGo {
-			res, goOut, err := u.sp.OnGo(at)
+			res, _, err := u.sp.OnGo(at)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			u.pending.apply(goOut)
 			timings = append(timings, QueryTiming{
 				TraceIdx: item.user,
 				QueryIdx: u.qIdx,
@@ -539,11 +409,9 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 			u.qIdx++
 			continue
 		}
-		evOut, err := u.sp.OnEvent(item.ev, at)
-		if err != nil {
+		if _, err := u.sp.OnEvent(item.ev, at); err != nil {
 			return nil, nil, nil, err
 		}
-		u.pending.apply(evOut)
 	}
 	perUser := make([]core.Stats, len(users))
 	ledgers := make([]map[string]int, len(users))
@@ -561,8 +429,7 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 // simulated sessions over one database (DESIGN.md §11's evaluation setting).
 type ScaledOutcome struct {
 	Timings []QueryTiming
-	// PerUser holds each session's stats; Stats is their COMPLETE sum
-	// (addStatsAll — unlike the pinned multi-user aggregate).
+	// PerUser holds each session's stats; Stats is their sum.
 	PerUser []core.Stats
 	Stats   core.Stats
 	// SharedBuilds / DedupSaved snapshot the shared-build registry's lifetime
@@ -583,7 +450,7 @@ func RunScaledSessions(eng *engine.Engine, traces []*trace.Trace, cfg core.Confi
 	if err != nil {
 		return nil, err
 	}
-	out := &ScaledOutcome{Timings: timings, PerUser: perUser, Stats: SumStatsAll(perUser), WasteLedgers: ledgers}
+	out := &ScaledOutcome{Timings: timings, PerUser: perUser, Stats: SumStats(perUser), WasteLedgers: ledgers}
 	out.SharedBuilds, out.DedupSaved = cfg.CSE.Snapshot()
 	return out, nil
 }

@@ -68,11 +68,10 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 			if err != nil {
 				return nil, fmt.Errorf("harness: predict replay pass %d trace %d: %w", pass, i, err)
 			}
-			if fs := so.FinalStats; fs.PredictedIssued != fs.PredictedCompleted+fs.PredictedCanceled {
-				return nil, fmt.Errorf("harness: predicted-job identity violated in pass %d trace %d: issued %d != completed %d + canceled %d",
-					pass, i, fs.PredictedIssued, fs.PredictedCompleted, fs.PredictedCanceled)
+			if err := so.FinalStats.CheckQuiesced(); err != nil {
+				return nil, fmt.Errorf("harness: predict replay pass %d trace %d: %w", pass, i, err)
 			}
-			stats = addStatsAll(stats, so.FinalStats)
+			stats.Add(so.FinalStats)
 			queries += len(so.Timings)
 			for _, t := range so.Timings {
 				total += t.Seconds

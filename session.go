@@ -50,14 +50,10 @@ type Session struct {
 	mgr *SessionManager
 	id  int64
 
-	mu    sync.Mutex
-	sp    *core.Speculator
-	clock *sim.Clock
-	// pending holds scheduled manipulation completions ordered by
-	// CompletesAt (FIFO on ties). At most the speculator's worker cap — one
-	// by default.
-	pending []*core.Job
-	closed  bool
+	mu     sync.Mutex
+	sp     *core.Speculator
+	clock  *sim.Clock
+	closed bool
 	// recorded holds the session's interaction for TraceJSON.
 	recorded []trace.Event
 }
@@ -117,36 +113,12 @@ func (s *Session) checkLive() error {
 		return fmt.Errorf("specdb: session is closed")
 	}
 	if err := s.ctx.Err(); err != nil {
-		if s.sp != nil && len(s.sp.CancelOutstanding()) > 0 {
-			// Everything pending was outstanding; it is all canceled now.
-			s.pending = nil
+		if s.sp != nil {
+			s.sp.CancelOutstanding()
 		}
 		return fmt.Errorf("specdb: session canceled: %w", err)
 	}
 	return nil
-}
-
-// applyOutcome folds a speculator outcome into the pending completions:
-// canceled (or early-completed) jobs are unscheduled, issued jobs scheduled
-// in completion order. Callers hold s.mu.
-func (s *Session) applyOutcome(out core.EventOutcome) {
-	for _, job := range out.Canceled {
-		for i, j := range s.pending {
-			if j == job {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				break
-			}
-		}
-	}
-	for _, job := range out.Issued {
-		i := len(s.pending)
-		for i > 0 && s.pending[i-1].CompletesAt > job.CompletesAt {
-			i--
-		}
-		s.pending = append(s.pending, nil)
-		copy(s.pending[i+1:], s.pending[i:])
-		s.pending[i] = job
-	}
 }
 
 // recoverTo converts a panic escaping a session call — an internal bug —
@@ -173,29 +145,13 @@ func (s *Session) Think(d time.Duration) (err error) {
 		return fmt.Errorf("specdb: negative think time %v", d)
 	}
 	target := s.clock.Now().Add(simDuration(d))
-	err = s.completeDue(target)
+	if s.sp != nil {
+		if err = s.sp.CompleteDue(target); err != nil {
+			err = fmt.Errorf("specdb: completing manipulation: %w", err)
+		}
+	}
 	s.clock.AdvanceTo(target)
 	return err
-}
-
-// completeDue finalizes pending manipulations due by t, advancing the clock
-// to each completion instant. Callers hold s.mu.
-func (s *Session) completeDue(t sim.Time) error {
-	for len(s.pending) > 0 && s.pending[0].CompletesAt <= t {
-		job := s.pending[0]
-		// The job is no longer scheduled either way; dropping it first means
-		// one poisoned completion cannot wedge the session forever.
-		s.pending = s.pending[1:]
-		if job.CompletesAt > s.clock.Now() {
-			s.clock.AdvanceTo(job.CompletesAt)
-		}
-		next, err := s.sp.Complete(job, job.CompletesAt)
-		if err != nil {
-			return fmt.Errorf("specdb: completing manipulation: %w", err)
-		}
-		s.applyOutcome(core.EventOutcome{Issued: next})
-	}
-	return nil
 }
 
 // apply routes one interface event through the speculator.
@@ -209,12 +165,10 @@ func (s *Session) apply(ev trace.Event) (err error) {
 	if s.sp == nil {
 		return fmt.Errorf("specdb: session has speculation disabled; use DB.Exec for plain SQL")
 	}
-	out, err := s.sp.OnEvent(ev, s.clock.Now())
-	if err != nil {
+	if _, err := s.sp.OnEvent(ev, s.clock.Now()); err != nil {
 		return err
 	}
 	s.record(ev)
-	s.applyOutcome(out)
 	return nil
 }
 
@@ -309,9 +263,6 @@ func (s *Session) Go() (res *Result, err error) {
 		return nil, fmt.Errorf("specdb: session has speculation disabled")
 	}
 	eres, out, err := s.sp.OnGo(s.clock.Now())
-	// Even on error the outcome's job bookkeeping is authoritative: a wait
-	// consumes the pending completion before the failure can occur.
-	s.applyOutcome(out)
 	if err != nil {
 		return nil, err
 	}
@@ -322,85 +273,13 @@ func (s *Session) Go() (res *Result, err error) {
 	return wrapResult(eres), nil
 }
 
-// Stats reports the session's speculation counters.
-type Stats struct {
-	Issued, Completed   int
-	CanceledInvalidated int
-	CanceledAtGo        int
-	// WaitedAtGo counts final queries delayed until an almost-finished
-	// manipulation completed (the WaitForCompletion extension).
-	WaitedAtGo int
-	// Suspended counts issue opportunities skipped because the server was
-	// busy (the SuspendWhenBusy extension).
-	Suspended        int
-	GarbageCollected int
-	// CanceledOnClose counts manipulations canceled by session teardown.
-	// Once a session is closed,
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo +
-	//           CanceledOnClose + Aborted.
-	CanceledOnClose int
-	// Failed counts individual manipulation failures (issue- or
-	// completion-time); a manipulation may fail several times across
-	// retries. Aborted counts issued jobs whose completion failed and was
-	// rolled back; Abandoned counts manipulation keys given up for the
-	// session after repeated failures.
-	Failed    int
-	Aborted   int
-	Abandoned int
-	// BreakerTrips / BreakerResumes count the session circuit breaker
-	// suspending speculation after repeated failures and resuming it after
-	// a successful half-open probe.
-	BreakerTrips   int
-	BreakerResumes int
-	// Cross-session CSE counters (zero unless Options.SharedSpeculation).
-	// SharedBuilds counts materializations this session built into the
-	// shared registry; SharedAttached counts ready shared builds adopted
-	// instead of rebuilt; DedupSaved is the build time those adoptions
-	// avoided. BudgetDeferred counts candidates skipped by the per-session
-	// page budget.
-	SharedBuilds   int
-	SharedAttached int
-	DedupSaved     time.Duration
-	BudgetDeferred int
-	// Overload governance counters (zero unless Options.Governor.Enabled).
-	// Shed counts outstanding builds the governor canceled under pressure,
-	// lowest benefit first; DeadlineAborts counts builds the stuck-job
-	// watchdog aborted past their deadline; GovernorDeferred counts issue
-	// opportunities refused by pressure band. Shed and DeadlineAborts are
-	// terminal states: they extend the quiesce identity above. ShedRetained
-	// counts completed-but-unconsumed materializations dropped under pressure
-	// (already counted in Completed, so outside the identity).
-	Shed             int
-	ShedRetained     int
-	DeadlineAborts   int
-	GovernorDeferred int
-	// Whole-query prediction counters (zero unless Options.PredictFinals).
-	// PredictedIssued counts predicted-final jobs issued; PredictedCompleted
-	// those whose answers reached the cache; PredictedCanceled every predicted
-	// job terminated before completing. They are the only predicted terminals,
-	// so once a session is closed
-	// PredictedIssued == PredictedCompleted + PredictedCanceled.
-	// PredictedGos counts GO events answered instantly from a completed
-	// prediction; InstantSaved is the execution time those instant answers
-	// avoided; PredictEquivFailures counts completed predictions whose rows
-	// failed the equivalence check against the reference plan (the fresh
-	// answer was served); AnswerCacheHits counts predicted jobs satisfied from
-	// the shared answer cache instead of executing.
-	PredictedIssued      int
-	PredictedCompleted   int
-	PredictedCanceled    int
-	PredictedGos         int
-	InstantSaved         time.Duration
-	PredictEquivFailures int
-	AnswerCacheHits      int
-	// Hits counts final queries answered using at least one completed
-	// speculative materialization; Misses counts the rest.
-	Hits   int
-	Misses int
-	// Waste is simulated manipulation time that never served a query
-	// (canceled jobs' run time plus garbage-collected unused builds).
-	Waste time.Duration
-}
+// Stats reports a session's speculation counters: what its speculator
+// issued, how each job ended, what it saved and what it wasted (field
+// documentation on core.Stats). Once the session is closed,
+// Stats.CheckQuiesced holds: every issued manipulation reached exactly one
+// terminal state. Each field is also summed over every session of the DB
+// into the spec.<name> counter of DB.MetricsText.
+type Stats = core.Stats
 
 // Stats reports speculation activity so far.
 func (s *Session) Stats() Stats {
@@ -409,40 +288,7 @@ func (s *Session) Stats() Stats {
 	if s.sp == nil {
 		return Stats{}
 	}
-	st := s.sp.Stats()
-	return Stats{
-		Issued:               st.Issued,
-		Completed:            st.Completed,
-		CanceledInvalidated:  st.CanceledInvalidated,
-		CanceledAtGo:         st.CanceledAtGo,
-		WaitedAtGo:           st.WaitedAtGo,
-		Suspended:            st.Suspended,
-		GarbageCollected:     st.GarbageCollected,
-		CanceledOnClose:      st.CanceledOnClose,
-		Failed:               st.Failed,
-		Aborted:              st.Aborted,
-		Abandoned:            st.Abandoned,
-		BreakerTrips:         st.BreakerTrips,
-		BreakerResumes:       st.BreakerResumes,
-		SharedBuilds:         st.SharedBuilds,
-		SharedAttached:       st.SharedAttached,
-		DedupSaved:           time.Duration(st.DedupSaved),
-		BudgetDeferred:       st.BudgetDeferred,
-		Shed:                 st.Shed,
-		ShedRetained:         st.ShedRetained,
-		DeadlineAborts:       st.DeadlineAborts,
-		GovernorDeferred:     st.GovernorDeferred,
-		PredictedIssued:      st.PredictedIssued,
-		PredictedCompleted:   st.PredictedCompleted,
-		PredictedCanceled:    st.PredictedCanceled,
-		PredictedGos:         st.PredictedGos,
-		InstantSaved:         time.Duration(st.InstantSaved),
-		PredictEquivFailures: st.PredictEquivFailures,
-		AnswerCacheHits:      st.AnswerCacheHits,
-		Hits:                 st.Hits,
-		Misses:               st.Misses,
-		Waste:                time.Duration(st.Waste),
-	}
+	return s.sp.Stats()
 }
 
 // ID reports the session's manager-assigned identifier (0 for standalone
@@ -464,7 +310,6 @@ func (s *Session) Close() error {
 	if s.sp == nil {
 		return nil
 	}
-	s.pending = nil
 	return s.sp.Shutdown()
 }
 

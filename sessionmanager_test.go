@@ -109,7 +109,7 @@ func TestSessionContextCancellation(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.pending == nil {
+	if len(s.sp.Outstanding()) == 0 {
 		t.Fatal("no manipulation in flight")
 	}
 	if len(newTables(db, before)) == 0 {
@@ -121,7 +121,7 @@ func TestSessionContextCancellation(t *testing.T) {
 		t.Fatalf("Think after cancel = %v, want context.Canceled", err)
 	}
 	// The in-flight manipulation was canceled and its table dropped.
-	if s.pending != nil {
+	if len(s.sp.Outstanding()) > 0 {
 		t.Fatal("in-flight manipulation survived context cancellation")
 	}
 	if leaked := newTables(db, before); len(leaked) != 0 {
@@ -147,10 +147,10 @@ func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.pending) == 0 {
+	if len(s.sp.Outstanding()) == 0 {
 		t.Fatal("no manipulation in flight")
 	}
-	job := s.pending[0]
+	job := s.sp.Outstanding()[0]
 	completesAt := time.Duration(job.CompletesAt)
 	// Stop thinking just before the manipulation finishes: GO should wait out
 	// the sliver rather than cancel.
@@ -186,7 +186,7 @@ func TestThinkContainsCompletionFailure(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.pending == nil {
+	if len(s.sp.Outstanding()) == 0 {
 		t.Fatal("no manipulation in flight")
 	}
 	// Sabotage: drop the hidden speculative table out from under the
@@ -355,10 +355,8 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			continue
 		}
 		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != completed %d + invalidated %d + at-go %d + on-close %d + aborted %d",
-				i, st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.CanceledOnClose, st.Aborted)
+		if err := st.CheckQuiesced(); err != nil {
+			t.Errorf("session %d: %v", i, err)
 		}
 		if st.GarbageCollected > st.Completed {
 			t.Errorf("session %d: GC'd %d > completed %d", i, st.GarbageCollected, st.Completed)
@@ -460,9 +458,8 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 			continue
 		}
 		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, terminal, st)
+		if err := st.CheckQuiesced(); err != nil {
+			t.Errorf("session %d: %v", i, err)
 		}
 		if st.GarbageCollected > st.Completed {
 			t.Errorf("session %d: GC'd %d > completed %d", i, st.GarbageCollected, st.Completed)
